@@ -22,7 +22,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._parallel import thread_count
 from .identifiability import band_of, collinearity_scan
 from .kernel import ReducedParams
 from .kriging import kriging_weights
@@ -54,6 +53,12 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def thread_count() -> int:
+    """KRIGESENSE_THREADS as the manifest records it; nothing reads it."""
+    raw = os.environ.get("KRIGESENSE_THREADS", "").strip()
+    return max(int(raw), 1) if raw.isdecimal() else 1
 
 
 def _write_manifest(args: argparse.Namespace, started: str,

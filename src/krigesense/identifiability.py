@@ -5,7 +5,8 @@ column-normalized sensitivity matrix; gamma near 1 means the parameters
 act on the output in nearly orthogonal directions, large gamma means some
 combination of them is locally unidentifiable. The (nu, rho) scan maps
 gamma over the smoothness/range plane for two outputs: the correlation
-curve seen from the prediction point and the kriging weight vector.
+curve seen from the prediction point and the kriging weight vector; the
+finite-difference thetas of a whole grid row are priced as one stack.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import linalg
-from ._parallel import ordered_map
 from .kernel import ReducedParams, make_grid, matern_correlation
 from .kriging import kriging_weights
 
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 GAMMA_CAP = 1e12
+
+_REL_STEP = 1e-5
 
 _SCAN_OMEGA2 = 0.001
 _SCAN_GRID = make_grid(1, 21, exclude=0.5)
@@ -103,8 +105,23 @@ def band_of(gamma: float) -> str:
     return "collinear"
 
 
+def _central_differences(f: Callable[[np.ndarray], np.ndarray],
+                         theta: np.ndarray, rel_step: float) -> np.ndarray:
+    """(f(theta + h_j e_j) - f(theta - h_j e_j)) / (2 h_j) for every j,
+    with h_j = rel_step * max(|theta_j|, 1e-3). theta is (..., p); f maps
+    (m, p) points to (m, outputs); the result is (..., outputs, p)."""
+    h = rel_step * np.maximum(np.abs(theta), 1e-3)
+    step = h[..., None] * np.eye(theta.shape[-1])
+    base = theta[..., None, :]
+    points = np.stack([base + step, base - step], axis=-2)
+    values = f(points.reshape(-1, theta.shape[-1]))
+    values = values.reshape(points.shape[:-1] + (-1,))
+    diff = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h[..., None])
+    return np.swapaxes(diff, -1, -2)
+
+
 def local_sensitivities(f: Callable[[np.ndarray], np.ndarray], theta,
-                        rel_step: float = 1e-5) -> SensitivityMatrix:
+                        rel_step: float = _REL_STEP) -> SensitivityMatrix:
     """Central-difference sensitivity matrix of f at theta.
 
     Step for parameter j is rel_step * max(|theta_j|, 1e-3), so steps stay
@@ -116,25 +133,17 @@ def local_sensitivities(f: Callable[[np.ndarray], np.ndarray], theta,
     if base.size == 0 or not np.all(np.isfinite(base)):
         raise ValueError("theta must be a finite nonempty vector")
 
-    columns = []
-    n_out = None
-    for j in range(base.size):
-        h = rel_step * max(abs(base[j]), 1e-3)
-        up = base.copy()
-        up[j] += h
-        down = base.copy()
-        down[j] -= h
-        f_up = np.atleast_1d(np.asarray(f(up), dtype=float))
-        f_down = np.atleast_1d(np.asarray(f(down), dtype=float))
-        if f_up.shape != f_down.shape or f_up.ndim != 1:
+    def each_point(points: np.ndarray) -> np.ndarray:
+        values = [np.atleast_1d(np.asarray(f(pt), dtype=float))
+                  for pt in points]
+        if values[0].ndim != 1 or any(v.shape != values[0].shape
+                                      for v in values):
             raise ValueError("f must return a fixed-length vector")
-        if n_out is None:
-            n_out = f_up.size
-        elif f_up.size != n_out:
-            raise ValueError("f returned inconsistent lengths")
-        columns.append((f_up - f_down) / (2.0 * h))
-    return SensitivityMatrix(entries=np.column_stack(columns),
-                             normalization="raw")
+        return np.stack(values)
+
+    return SensitivityMatrix(
+        entries=_central_differences(each_point, base, rel_step),
+        normalization="raw")
 
 
 def collinearity_index(s: SensitivityMatrix) -> float:
@@ -153,19 +162,19 @@ def collinearity_index(s: SensitivityMatrix) -> float:
     return float(np.clip(1.0 / np.sqrt(smallest), 1.0, GAMMA_CAP))
 
 
-def _correlation_curve(theta: np.ndarray) -> np.ndarray:
-    return matern_correlation(_SCAN_DISTANCES, rho=theta[1], nu=theta[0])
+def _scan_outputs(points: np.ndarray) -> np.ndarray:
+    """Correlation curve and kriging weights side by side for (m, 2)
+    points of (nu, rho); each output prices all m points as one stack."""
+    nu, rho = points.T
+    curves = matern_correlation(_SCAN_DISTANCES, rho[:, None], nu[:, None])
+    weights = kriging_weights(
+        _SCAN_GRID, _SCAN_POINT,
+        ReducedParams(rho=rho, nu=nu, omega2=_SCAN_OMEGA2)).weights
+    return np.hstack([curves, weights])
 
 
-def _weight_curve(theta: np.ndarray) -> np.ndarray:
-    params = ReducedParams(rho=float(theta[1]), nu=float(theta[0]),
-                           omega2=_SCAN_OMEGA2)
-    return kriging_weights(_SCAN_GRID, _SCAN_POINT, params).weights
-
-
-def _gamma_of(f: Callable[[np.ndarray], np.ndarray],
-              theta: np.ndarray) -> float:
-    return collinearity_index(local_sensitivities(f, theta).normalized())
+def _gamma(entries: np.ndarray) -> float:
+    return collinearity_index(SensitivityMatrix(entries=entries).normalized())
 
 
 def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
@@ -179,7 +188,9 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     at 0.5); the band field reflects output_kind. Cells that fail to
     evaluate get NaN gammas and band "failed"; failures are collected and
     reported as a warning instead of aborting the scan. Cell order is
-    row-major in (nu index, rho index).
+    row-major in (nu index, rho index). Each nu row of the grid is one
+    stack of 4 * resolution systems; a row whose stack fails is priced
+    again cell by cell, so a failure stays with its own cell.
     """
     if output_kind not in ("correlation_curve", "kriging_weights"):
         raise ValueError(f"unknown output_kind {output_kind!r}")
@@ -193,14 +204,20 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     nus = np.linspace(grid_nu[0], grid_nu[1], resolution)
     rhos = np.linspace(grid_rho[0], grid_rho[1], resolution)
     failures: List[str] = []
-
-    def scan_row(nu: float) -> List[CollinearityCell]:
-        cells = []
-        for rho in rhos:
-            theta = np.array([nu, rho])
+    cells = []
+    for nu in nus:
+        thetas = np.column_stack([np.full(resolution, nu), rhos])
+        try:
+            row = _central_differences(_scan_outputs, thetas, _REL_STEP)
+        except Exception:  # noqa: BLE001 - attributed per cell below
+            row = [None] * resolution
+        for rho, entries in zip(rhos, row):
             try:
-                g_corr = _gamma_of(_correlation_curve, theta)
-                g_wts = _gamma_of(_weight_curve, theta)
+                if entries is None:
+                    entries = _central_differences(
+                        _scan_outputs, np.array([nu, rho]), _REL_STEP)
+                g_corr = _gamma(entries[:_SCAN_DISTANCES.size])
+                g_wts = _gamma(entries[_SCAN_DISTANCES.size:])
             except Exception as exc:  # noqa: BLE001 - per-cell aggregation
                 failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {exc!r}")
                 cells.append(CollinearityCell(
@@ -213,11 +230,8 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
             cells.append(CollinearityCell(
                 nu=float(nu), rho=float(rho), gamma_correlation=g_corr,
                 gamma_weights=g_wts, band=band_of(chosen)))
-        return cells
-
-    rows = ordered_map(scan_row, list(nus))
     if failures:
         warnings.warn(
             f"{len(failures)} scan cell(s) failed; first: {failures[0]}",
             RuntimeWarning, stacklevel=2)
-    return [cell for row in rows for cell in row]
+    return cells

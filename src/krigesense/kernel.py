@@ -32,9 +32,30 @@ _HALF_INTEGER_TOL = 1e-12
 _TINY_ARG = 1e-10
 
 
+def _check_params(**fields) -> tuple:
+    """Check hyperparameters, scalars and arrays alike, and return them as
+    float arrays: tau2 and omega2 finite and >= 0, the others finite and
+    > 0, nu also <= NU_MAX."""
+    out = []
+    for name, value in fields.items():
+        v = np.asarray(value, dtype=float)
+        nugget = name in ("tau2", "omega2")
+        ok = np.isfinite(v) & ((v >= 0.0) if nugget else (v > 0.0))
+        if name == "nu":
+            ok &= v <= specfun.NU_MAX
+        if not np.all(ok):
+            rule = (">= 0" if nugget else "> 0") + (
+                f" and <= {specfun.NU_MAX}" if name == "nu" else "")
+            raise ValueError(f"{name} must be a finite real {rule}, "
+                             f"got {v[~ok].flat[0]}")
+        out.append(v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MaternParams:
-    """Covariance hyperparameters (sigma2, rho, nu, tau2)."""
+    """Covariance hyperparameters (sigma2, rho, nu, tau2); arrays make a
+    stack of parameter rows for kriging_variance."""
 
     sigma2: float
     rho: float
@@ -42,14 +63,8 @@ class MaternParams:
     tau2: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma2", "rho", "nu"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a finite real > 0, got {v}")
-        if not (math.isfinite(self.tau2) and self.tau2 >= 0.0):
-            raise ValueError(f"tau2 must be a finite real >= 0, got {self.tau2}")
-        if self.nu > specfun.NU_MAX:
-            raise ValueError(f"nu must be <= {specfun.NU_MAX}, got {self.nu}")
+        _check_params(sigma2=self.sigma2, rho=self.rho, nu=self.nu,
+                      tau2=self.tau2)
 
     def reduced(self) -> "ReducedParams":
         """The (rho, nu, omega2 = tau2/sigma2) triple that predictions
@@ -60,22 +75,15 @@ class MaternParams:
 
 @dataclass(frozen=True)
 class ReducedParams:
-    """(rho, nu, omega2); omega2 is the nugget-to-variance ratio."""
+    """(rho, nu, omega2), scalars or arrays for a stack of parameter rows;
+    omega2 is the nugget-to-variance ratio."""
 
     rho: float
     nu: float
     omega2: float
 
     def __post_init__(self) -> None:
-        for name in ("rho", "nu"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a finite real > 0, got {v}")
-        if not (math.isfinite(self.omega2) and self.omega2 >= 0.0):
-            raise ValueError(
-                f"omega2 must be a finite real >= 0, got {self.omega2}")
-        if self.nu > specfun.NU_MAX:
-            raise ValueError(f"nu must be <= {specfun.NU_MAX}, got {self.nu}")
+        _check_params(rho=self.rho, nu=self.nu, omega2=self.omega2)
 
 
 @dataclass(frozen=True)
@@ -111,61 +119,69 @@ class LocationSet:
         return self.points.shape[0]
 
 
-def _check_correlation_params(rho: float, nu: float) -> tuple[float, float]:
-    rho = float(rho)
-    nu = float(nu)
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be a finite real > 0, got {rho}")
-    if not (math.isfinite(nu) and 0.0 < nu <= specfun.NU_MAX):
-        raise ValueError(
-            f"nu must be in (0, {specfun.NU_MAX}], got {nu}")
-    return rho, nu
+_CLOSED_FORMS = {
+    0.5: lambda a: np.exp(-a),
+    1.5: lambda a: (1.0 + a) * np.exp(-a),
+    2.5: lambda a: (1.0 + a + a * a / 3.0) * np.exp(-a),
+}
+
+# math.lgamma per parameter value: scipy's gammaln can differ from it in
+# the last bit, and a stacked call must equal the scalar calls
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
-def _tiny_argument_series(a: np.ndarray, nu: float) -> np.ndarray:
-    # leading small-argument behavior 1 - Gamma(1-nu)/Gamma(1+nu) (a/2)^(2 nu)
-    # for nu < 1; above that the correction is O(a^2) ~ 1e-20 and drops
-    if nu >= 1.0:
-        return np.ones_like(a)
-    correction = np.exp(math.lgamma(1.0 - nu) - math.lgamma(1.0 + nu)
-                        + 2.0 * nu * (np.log(a) - _LN2))
-    return np.clip(1.0 - correction, 0.0, 1.0)
+def _at(values, mask: np.ndarray):
+    # per-parameter values at the masked elements; a scalar stays one
+    if np.ndim(values) == 0:
+        return values
+    return np.broadcast_to(values, mask.shape)[mask]
 
 
-def matern_correlation(d, rho: float, nu: float):
+def matern_correlation(d, rho, nu):
     """Matern correlation at distance d (scalar or array).
 
     Exactly 1 at d = 0. nu in {1/2, 3/2, 5/2} (within 1e-12) uses the
     closed forms; other orders evaluate exp((1-nu) ln 2 - ln Gamma(nu)
     + nu ln a + ln K_nu(a)) with a = sqrt(2 nu) d / rho.
+
+    rho and nu may be arrays that broadcast against d, such as (N, 1)
+    parameter rows over (U,) distances. Each element gets the formula its
+    own nu selects, so a stacked call equals the row-by-row calls bitwise.
     """
-    rho, nu = _check_correlation_params(rho, nu)
+    rho, nu = _check_params(rho=rho, nu=nu)
     arr = np.asarray(d, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("distances must be finite and >= 0")
 
-    a = (math.sqrt(2.0 * nu) / rho) * arr
-    if abs(nu - 0.5) <= _HALF_INTEGER_TOL:
-        out = np.exp(-a)
-    elif abs(nu - 1.5) <= _HALF_INTEGER_TOL:
-        out = (1.0 + a) * np.exp(-a)
-    elif abs(nu - 2.5) <= _HALF_INTEGER_TOL:
-        out = (1.0 + a + a * a / 3.0) * np.exp(-a)
-    else:
-        out = np.ones_like(a)
-        tiny = (a > 0.0) & (a < _TINY_ARG)
-        main = a >= _TINY_ARG
+    a = (np.sqrt(2.0 * nu) / rho) * arr
+    out = np.ones(a.shape)
+    general = np.ones(nu.shape, dtype=bool)
+    for half, form in _CLOSED_FORMS.items():
+        rows = np.abs(nu - half) <= _HALF_INTEGER_TOL
+        general &= ~rows
+        if rows.all():
+            out = np.asarray(form(a))
+        elif rows.any():
+            pick = np.broadcast_to(rows, a.shape)
+            out[pick] = form(a[pick])
+    if general.any():
+        # leading small-argument behavior 1 - Gamma(1-nu)/Gamma(1+nu)
+        # (a/2)^(2 nu) for nu < 1; above that the correction is O(a^2)
+        # ~ 1e-20 and drops, so those elements keep their 1
+        tiny = (a > 0.0) & (a < _TINY_ARG) & (nu < 1.0) & general
+        main = (a >= _TINY_ARG) & general
         if np.any(tiny):
-            out[tiny] = _tiny_argument_series(a[tiny], nu)
+            at, nt = a[tiny], _at(nu, tiny)
+            correction = np.exp(_lgamma(1.0 - nt) - _lgamma(1.0 + nt)
+                                + 2.0 * nt * (np.log(at) - _LN2))
+            out[tiny] = np.clip(1.0 - correction, 0.0, 1.0)
         if np.any(main):
-            am = a[main]
-            log_c = ((1.0 - nu) * _LN2 - math.lgamma(nu)
-                     + nu * np.log(am) + specfun.bessel_k_log_array(nu, am))
+            am, nm = a[main], _at(nu, main)
+            log_c = (_at((1.0 - nu) * _LN2 - _lgamma(nu), main)
+                     + nm * np.log(am) + specfun.bessel_k_log_array(nm, am))
             out[main] = np.minimum(np.exp(log_c), 1.0)
-    out[arr == 0.0] = 1.0
-    return float(out[0]) if scalar else out
+    out[np.broadcast_to(arr == 0.0, out.shape)] = 1.0
+    return float(out) if out.ndim == 0 else out
 
 
 def matern_covariance(d, params: MaternParams):

@@ -5,6 +5,9 @@ correlation matrix of the training locations and c the correlation vector
 against the prediction location. Weights and the variance ratio depend on
 (rho, nu, omega2) only; sigma2 returns as an overall factor of the
 variance and tau2 only through omega2 = tau2 / sigma2.
+
+(N,) arrays of (rho, nu, omega2) build a stack of N systems on one layout
+in one pass; results then carry a leading axis of N.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import linalg
 from .kernel import (LocationSet, MaternParams, ReducedParams,
@@ -53,7 +57,8 @@ def _as_observations(y, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrigingSystem:
-    """Factored kriging system shared by the weight and variance paths."""
+    """Factored kriging system(s) shared by the weight and variance paths;
+    for a parameter stack, factor and cross carry a leading axis of N."""
 
     train: LocationSet
     pred: np.ndarray
@@ -65,12 +70,26 @@ class KrigingSystem:
     def build(cls, train: LocationSet, pred,
               params: ReducedParams) -> "KrigingSystem":
         pt = _as_point(pred, train.dimension)
-        unit = MaternParams(sigma2=1.0, rho=params.rho, nu=params.nu,
-                            tau2=params.omega2)
-        system_matrix = kernel_matrix(train, train, unit)
-        factor = linalg.spd_factor(system_matrix)
-        dists = np.linalg.norm(train.points - pt[None, :], axis=1)
-        cross = matern_correlation(dists, params.rho, params.nu)
+        fields = (params.rho, params.nu, params.omega2)
+        rho, nu, omega2 = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
+        if rho.ndim > 1:
+            raise ValueError("a parameter stack must be 1-D")
+        # every distance of the layout (training points plus the prediction
+        # point) is priced once per row; the diagonal distances are exactly 0
+        n = train.count
+        dist = cdist(np.vstack([train.points, pt]), train.points)
+        uniq, inv = np.unique(dist, return_inverse=True)
+        corr = matern_correlation(uniq, rho[:, None], nu[:, None])
+        layout = np.take(corr, inv.ravel(), axis=1).reshape(-1, n + 1, n)
+        systems = layout[:, :n]
+        systems[:, np.arange(n), np.arange(n)] += omega2[:, None]
+        factor = linalg.spd_factor_stack(systems)
+        cross = layout[:, n]
+        if not any(np.ndim(v) for v in fields):
+            factor = linalg.SpdFactor(n, factor.lower[0],
+                                      float(factor.jitter_used[0]))
+            cross = cross[0]
         return cls(train=train, pred=pt, params=params, factor=factor,
                    cross=cross)
 
@@ -84,7 +103,7 @@ class KrigingWeights:
 
 def kriging_weights(train: LocationSet, pred,
                     params: ReducedParams) -> KrigingWeights:
-    """Solve (Omega + omega2 I) w = c for the weight vector."""
+    """Solve (Omega + omega2 I) w = c for the weight vector(s)."""
     system = KrigingSystem.build(train, pred, params)
     w = linalg.spd_solve(system.factor, system.cross)
     return KrigingWeights(weights=w, train_ref=train, pred_ref=system.pred)
@@ -97,9 +116,10 @@ def predict_mean(weights: KrigingWeights, y) -> float:
 
 
 def kriging_variance(train: Optional[LocationSet], pred,
-                     params: MaternParams) -> float:
+                     params: MaternParams):
     """sigma2 (1 - c^T (Omega + omega2 I)^{-1} c), clamped at -1e-10.
 
+    A float for scalar parameters, an (N,) array for a parameter stack.
     With no training set the quadratic term vanishes and the prior
     variance sigma2 comes back.
     """
@@ -107,26 +127,26 @@ def kriging_variance(train: Optional[LocationSet], pred,
         return params.sigma2
     system = KrigingSystem.build(train, pred, params.reduced())
     solved = linalg.spd_solve(system.factor, system.cross)
-    ratio = 1.0 - float(system.cross @ solved)
-    variance = params.sigma2 * ratio
-    if variance < -1e-10:
+    quad = np.matmul(system.cross[..., None, :], solved[..., :, None])
+    variance = params.sigma2 * (1.0 - quad[..., 0, 0])
+    if np.any(variance < -1e-10):
         raise ArithmeticError(
-            f"kriging variance {variance} below the -1e-10 guard")
-    return max(variance, 0.0)
+            f"kriging variance {np.min(variance)} below the -1e-10 guard")
+    variance = np.maximum(variance, 0.0)
+    return float(variance) if variance.ndim == 0 else variance
 
 
 def log_likelihood(train: LocationSet, y, params: MaternParams) -> float:
     """Gaussian log density of y under the covariance model.
 
-    The normalizing constant uses the input dimension of the locations,
-    not the observation count, so the constant term is -(dim/2) ln(2 pi).
+    For n observations the normalizing constant is -(n/2) ln(2 pi).
     """
     vec = _as_observations(y, train.count)
     cov = kernel_matrix(train, train, params)
     factor = linalg.spd_factor(cov)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor.lower))))
     alpha = linalg.spd_solve(factor, vec)
-    return (-0.5 * train.dimension * math.log(2.0 * math.pi)
+    return (-0.5 * train.count * math.log(2.0 * math.pi)
             - 0.5 * log_det - 0.5 * float(vec @ alpha))
 
 

@@ -3,8 +3,8 @@
 The factorization wraps LAPACK Cholesky inside a jitter ladder so that
 kernel matrices that are PSD-but-numerically-singular (nugget-free smooth
 kernels) still factor; the ladder scales are relative to the mean
-diagonal. Eigenvalues are computed by cyclic Jacobi rotations, which is
-adequate for the p <= 8 matrices the collinearity index needs.
+diagonal. Eigenvalues of the p <= 8 matrices the collinearity index needs
+come from LAPACK's symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "JITTER_LADDER",
     "spd_factor",
+    "spd_factor_stack",
     "spd_solve",
     "sym_eigenvalues",
 ]
@@ -33,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower Cholesky factor of (matrix + jitter_used * I)."""
+    """Lower Cholesky factor of (matrix + jitter_used * I), or of a stack."""
 
     dimension: int
     lower: np.ndarray
@@ -74,57 +75,42 @@ def spd_factor(matrix: np.ndarray) -> SpdFactor:
         f"x mean diagonal {mean_diag!r}")
 
 
+def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
+    """Factor an (N, n, n) stack of symmetric matrices by one batched
+    Cholesky. Only a stack where that raises walks spd_factor's jitter
+    ladder system by system, which gives a system that factors at rung 0
+    the same factor."""
+    stack = np.asarray(stack, dtype=float)
+    try:
+        lower = np.linalg.cholesky(stack)
+        jitter = np.zeros(stack.shape[0])
+    except np.linalg.LinAlgError:
+        factors = [spd_factor(matrix) for matrix in stack]
+        lower = np.stack([f.lower for f in factors])
+        jitter = np.array([f.jitter_used for f in factors])
+    return SpdFactor(dimension=stack.shape[-1], lower=lower,
+                     jitter_used=jitter)
+
+
 def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + jitter I) x = rhs from an SpdFactor."""
+    """Solve (A + jitter I) x = rhs from an SpdFactor; a factored stack
+    takes one right-hand side per system, (N, n)."""
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != factor.dimension:
+    stacked = factor.lower.ndim == 3
+    size = rhs.shape[-1] if stacked else rhs.shape[0]
+    if size != factor.dimension:
         raise ValueError(
-            f"rhs leading dimension {rhs.shape[0]} != factor dimension "
-            f"{factor.dimension}")
+            f"rhs dimension {size} != factor dimension {factor.dimension}")
+    if stacked:
+        return scipy.linalg.cho_solve((factor.lower, True), rhs[..., None],
+                                      check_finite=False)[..., 0]
     return scipy.linalg.cho_solve((factor.lower, True), rhs,
                                   check_finite=False)
 
 
 def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, sorted nonincreasing.
-
-    Cyclic Jacobi sweeps; iteration stops once the off-diagonal Frobenius
-    norm falls below 1e-12 times the initial full Frobenius norm.
-    """
-    a = _require_symmetric(matrix).copy()
-    n = a.shape[0]
-    if n > 8:
-        raise ValueError(f"sym_eigenvalues supports p <= 8, got {n}")
-    if n == 1:
-        return a[0, :1].copy()
-
-    def off_norm(m: np.ndarray) -> float:
-        off = m - np.diag(np.diag(m))
-        return float(np.sqrt(np.sum(off * off)))
-
-    target = 1e-12 * float(np.sqrt(np.sum(a * a)))
-    for _ in range(64):
-        if off_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # classic two-sided rotation annihilating (p, q)
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a[p, q] = a[q, p] = 0.0
-    else:
-        if off_norm(a) > target:
-            raise ArithmeticError("Jacobi iteration failed to converge")
-    return np.sort(np.diag(a))[::-1].copy()
+    """Eigenvalues of a small symmetric matrix, sorted nonincreasing."""
+    a = _require_symmetric(matrix)
+    if a.shape[0] > 8:
+        raise ValueError(f"sym_eigenvalues supports p <= 8, got {a.shape[0]}")
+    return np.linalg.eigvalsh(a)[::-1].copy()

@@ -6,6 +6,8 @@ normalizes by the response variance. The kriging-weights response treats
 the training-location index as one more input ("x"), a uniform discrete
 factor, so the weight vector is analyzed as a functional response without
 ever emulating it.
+Responses take a whole (n, p) sample matrix at a time, and the study
+responses price its n rows as one stack of kriging systems.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import rng
-from ._parallel import ordered_map
 from .kernel import LocationSet, MaternParams, ReducedParams, make_grid
 from .kriging import kriging_variance, kriging_weights
 
@@ -177,51 +178,49 @@ def lhs_sample(count: int, box: ParamBox, seed: int) -> np.ndarray:
     return out
 
 
-def _weight_vector(params: ReducedParams, grid_dimension: int,
-                   train: Optional[LocationSet],
-                   point) -> np.ndarray:
-    if train is None:
-        train, point = study_grid(grid_dimension)
-    return kriging_weights(train, point, params).weights
-
-
-def response_weights(params: ReducedParams, location_index: int,
+def response_weights(params: ReducedParams, location_index,
                      grid_dimension: int = 1,
                      train: Optional[LocationSet] = None,
-                     point=None) -> float:
+                     point=None):
     """The location_index-th kriging weight on the study grid.
 
     The default grids are the fixed study layouts (20-point 1-D grid with
     the prediction at 0.5; 16-point 2-D lattice with the prediction at
-    the center); pass train/point explicitly to override.
+    the center); pass train/point explicitly to override. A float for
+    scalar parameters; for (N,) parameter arrays, location_index holds
+    one index per row and an (N,) array comes back.
     """
-    w = _weight_vector(params, grid_dimension, train, point)
-    idx = int(location_index)
-    if not 0 <= idx < w.size:
-        raise ValueError(f"location_index {idx} outside [0, {w.size})")
-    return float(w[idx])
-
-
-def response_variance(sigma2: float, rho: float, nu: float, omega2: float,
-                      grid_dimension: int = 1,
-                      train: Optional[LocationSet] = None,
-                      point=None) -> float:
-    """Kriging variance at the study prediction point; omega2 enters as
-    the nugget ratio, so tau2 = omega2 * sigma2."""
     if train is None:
         train, point = study_grid(grid_dimension)
-    params = MaternParams(sigma2=float(sigma2), rho=float(rho), nu=float(nu),
-                          tau2=float(omega2) * float(sigma2))
+    w = kriging_weights(train, point, params).weights
+    idx = np.asarray(location_index).astype(int)
+    if np.any((idx < 0) | (idx >= w.shape[-1])):
+        raise ValueError(
+            f"location_index {location_index} outside [0, {w.shape[-1]})")
+    picked = np.take_along_axis(w, idx[..., None], axis=-1)[..., 0]
+    return float(picked) if picked.ndim == 0 else picked
+
+
+def response_variance(sigma2, rho, nu, omega2,
+                      grid_dimension: int = 1,
+                      train: Optional[LocationSet] = None,
+                      point=None):
+    """Kriging variance at the study prediction point; omega2 enters as
+    the nugget ratio, so tau2 = omega2 * sigma2. Scalars give a float,
+    (N,) arrays an (N,) array."""
+    if train is None:
+        train, point = study_grid(grid_dimension)
+    params = MaternParams(sigma2=sigma2, rho=rho, nu=nu,
+                          tau2=np.multiply(omega2, sigma2))
     return kriging_variance(train, point, params)
 
 
-def _evaluate(f: Callable[[np.ndarray], float], rows: np.ndarray,
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
               label: str) -> np.ndarray:
-    chunk_count = max(1, min(len(rows), 64))
-    chunks = np.array_split(rows, chunk_count)
-    parts = ordered_map(
-        lambda block: np.array([float(f(r)) for r in block]), chunks)
-    values = np.concatenate(parts)
+    values = np.asarray(f(rows), dtype=float)
+    if values.shape != (len(rows),):
+        raise ValueError(f"f must give one response per row of the {label} "
+                         f"sample, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"non-finite response value in {label} sample")
     return values
@@ -234,17 +233,19 @@ def _balanced_indices(count: int, n_levels: int,
     return g.permutation(pool).astype(float)
 
 
-def sobol_total(f: Callable[[np.ndarray], float], box: ParamBox,
+def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
                 base_count: int = 1024, seed: int = 0,
                 location_count: Optional[int] = None) -> SobolResult:
     """Jansen pick-freeze total-effect indices of f over the box.
 
-    f maps one input vector (active parameters in box order, then the
-    location index when location_count is given) to a scalar. Indices use
+    f maps an (n, p) sample matrix to its n responses, one per row; a row
+    holds the active parameters in box order, then the location index
+    when location_count is given. f is called once each for A, for every
+    hybrid A_B^i and for the Latin hypercube sample. Indices use
     T_i = sum((f(A) - f(A_B^i))^2) / (2 N varhat), with varhat taken from
     an independent Latin hypercube sample; 200 bootstrap resamples give a
     95% halfwidth on the percent-share scale. Cost is exactly
-    base_count * (p + 2) evaluations of f.
+    base_count * (p + 2) response evaluations, in p + 2 calls of f.
     """
     if base_count < 256:
         raise ValueError(f"base_count must be >= 256, got {base_count}")
@@ -350,31 +351,20 @@ def run_study(config: StudyConfig) -> SobolResult:
     train, point = study_grid(config.grid_dimension)
     positions = {name: j for j, name in enumerate(active)}
 
-    if config.response == "weights":
-        x_pos = len(active)
+    def f(rows: np.ndarray) -> np.ndarray:
+        def column(name: str, default=None):
+            return rows[:, positions[name]] if name in positions else default
 
-        def f(row: np.ndarray) -> float:
-            omega2 = (row[positions["omega2"]]
-                      if fixed_omega2 is None else fixed_omega2)
-            params = ReducedParams(rho=row[positions["rho"]],
-                                   nu=row[positions["nu"]],
+        omega2 = column("omega2", fixed_omega2)
+        if config.response == "weights":
+            params = ReducedParams(rho=column("rho"), nu=column("nu"),
                                    omega2=omega2)
-            return response_weights(params, int(row[x_pos]),
+            return response_weights(params, rows[:, len(active)].astype(int),
                                     train=train, point=point)
+        return response_variance(column("sigma2", 1.0), column("rho"),
+                                 column("nu"), omega2, train=train,
+                                 point=point)
 
-        location_count = train.count
-    else:
-
-        def f(row: np.ndarray) -> float:
-            omega2 = (row[positions["omega2"]]
-                      if fixed_omega2 is None else fixed_omega2)
-            sigma2 = (row[positions["sigma2"]]
-                      if "sigma2" in positions else 1.0)
-            return response_variance(sigma2, row[positions["rho"]],
-                                     row[positions["nu"]], omega2,
-                                     train=train, point=point)
-
-        location_count = None
-
+    location_count = train.count if config.response == "weights" else None
     return sobol_total(f, box, base_count=config.sample_budget,
                        seed=config.seed, location_count=location_count)

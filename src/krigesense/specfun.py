@@ -105,12 +105,13 @@ class BesselEval:
         return math.exp(self.log_value)
 
 
-def bessel_k_log_array(nu: float, x: np.ndarray) -> np.ndarray:
+def bessel_k_log_array(nu, x: np.ndarray) -> np.ndarray:
     """Vectorized ln K_nu over an array of positive arguments.
 
     Internal helper for kernel-matrix assembly; skips the scalar domain
     ceremony (the kernel layer has already validated its parameters) but
-    applies the same overflow fallback elementwise.
+    applies the same overflow fallback elementwise. nu is one order or an
+    array of orders that broadcasts against x.
     """
     x = np.asarray(x, dtype=float)
     scaled = kve(nu, x)
@@ -118,8 +119,8 @@ def bessel_k_log_array(nu: float, x: np.ndarray) -> np.ndarray:
         out = np.log(scaled) - x
     bad = ~np.isfinite(out)
     if np.any(bad):
-        flat = out.reshape(-1)
-        xflat = x.reshape(-1)
-        for idx in np.nonzero(bad.reshape(-1))[0]:
-            flat[idx] = _log_k_small_x(nu, float(xflat[idx]))
+        orders = np.broadcast_to(nu, out.shape)
+        args = np.broadcast_to(x, out.shape)
+        for idx in zip(*np.nonzero(bad)):
+            out[idx] = _log_k_small_x(float(orders[idx]), float(args[idx]))
     return out

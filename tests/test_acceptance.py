@@ -141,7 +141,7 @@ def test_criterion_03_kriging_against_dense_oracle():
                                                  reduced.nu)
         cov[np.diag_indices(n)] = params.sigma2 + params.tau2
         sign, log_det = np.linalg.slogdet(cov)
-        ll_want = (-0.5 * dim * math.log(2.0 * math.pi) - 0.5 * log_det
+        ll_want = (-0.5 * n * math.log(2.0 * math.pi) - 0.5 * log_det
                    - 0.5 * float(y @ gauss_jordan_inverse(cov) @ y))
         worst = max(worst, _rel(log_likelihood(train, y, params), ll_want))
     elapsed = time.perf_counter() - started
@@ -206,13 +206,12 @@ def test_criterion_06_sobol_calibration():
     box = ParamBox(ranges=(("t1", -math.pi, math.pi),
                            ("t2", -math.pi, math.pi),
                            ("t3", -math.pi, math.pi)))
-    res = sobol_total(lambda row: float(ishigami(row)[0]), box,
-                      base_count=4096, seed=SEED)
+    res = sobol_total(ishigami, box, base_count=4096, seed=SEED)
     want = ishigami_total_indices()
     ishigami_worst = float(np.max(np.abs(res.total_index - want)))
 
     add_box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
-    add = sobol_total(lambda row: float(row[0] + row[1]), add_box,
+    add = sobol_total(lambda rows: rows[:, 0] + rows[:, 1], add_box,
                       base_count=4096, seed=SEED)
     add_worst = float(np.max(np.abs(add.percent_share - 50.0)))
     elapsed = time.perf_counter() - started

@@ -1,6 +1,7 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,44 @@ def test_scan_deterministic():
            [(c.nu, c.rho, c.gamma_correlation, c.gamma_weights, c.band)
             for c in b]
 
+
+
+def test_scan_failed_cells_are_marked_and_counted():
+    # at rho = 1e-6 every scan distance is ~1e5 ranges away, both outputs
+    # are exactly zero and the sensitivity columns vanish
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = collinearity_scan(grid_nu=(0.5, 1.0), grid_rho=(1e-6, 1.0),
+                                  resolution=2)
+    assert len(cells) == 4
+    for cell in cells:
+        if cell.rho == 1e-6:
+            assert math.isnan(cell.gamma_correlation)
+            assert math.isnan(cell.gamma_weights)
+            assert cell.band == "failed"
+        else:
+            assert cell.rho == 1.0
+            for gamma in (cell.gamma_correlation, cell.gamma_weights):
+                assert math.isfinite(gamma) and 1.0 <= gamma <= GAMMA_CAP
+            assert cell.band == band_of(cell.gamma_correlation)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1
+    assert "2 scan cell(s) failed" in str(runtime[0].message)
+    assert "UndefinedCollinearityError" in str(runtime[0].message)
+
+
+def test_scan_row_that_cannot_be_stacked_fails_cell_by_cell():
+    # the nu = 50 row steps past NU_MAX, which rejects its whole stack;
+    # the failure stays with that row's cells and the nu = 49 row is
+    # unaffected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = collinearity_scan(grid_nu=(49.0, 50.0), grid_rho=(0.5, 1.0),
+                                  resolution=2)
+    assert [c.band == "failed" for c in cells] == [False, False, True, True]
+    assert all(1.0 <= c.gamma_weights <= GAMMA_CAP for c in cells[:2])
+    assert len(caught) == 1
+    assert "2 scan cell(s) failed" in str(caught[0].message)
 
 def test_scan_validation():
     with pytest.raises(ValueError):

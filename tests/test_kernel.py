@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kve
 
 from krigesense import linalg
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
@@ -71,6 +72,42 @@ def test_correlation_monotone_in_distance_and_range():
         hi = matern_correlation(ds, rho_hi, 1.0)
         assert np.all(hi > lo)
 
+
+
+def test_stacked_correlation_equals_row_by_row_calls():
+    # (N, 1) parameter rows over a distance vector must reproduce every
+    # scalar call bit for bit: each element keeps the formula its own nu
+    # selects, whatever the other rows need
+    d = np.concatenate([[0.0, 1e-12, 1e-9], np.linspace(0.05, 3.0, 25)])
+    rows = [(1.0, 0.5), (0.7, 1.5), (2.0, 2.5),   # closed forms
+            (1.0, 0.3), (1.0, 1.3),               # tiny argument at 1e-12
+            (1.0, 45.0),                          # log-space series at 1e-9
+            (3.0, 0.01), (0.05, 2.2), (4.5, 1.0)]
+    rng = np.random.default_rng(21)
+    rows += [(float(r), float(n)) for r, n in
+             zip(rng.uniform(0.01, 5.0, 8), rng.uniform(0.01, 2.5, 8))]
+    rho = np.array([r for r, _ in rows])[:, None]
+    nu = np.array([n for _, n in rows])[:, None]
+    # the chosen rows do reach the tiny-argument and log-series paths
+    assert math.sqrt(2.0 * 0.3) * 1e-12 < 1e-10
+    assert np.isinf(kve(45.0, math.sqrt(90.0) * 1e-9))
+    stacked = matern_correlation(d, rho, nu)
+    by_row = np.array([matern_correlation(d, r, n) for r, n in rows])
+    assert stacked.shape == (len(rows), d.size)
+    assert np.array_equal(stacked, by_row)
+    # one stacked row against a scalar distance keeps scalar semantics
+    assert matern_correlation(0.3, 1.0, 0.7) == float(
+        matern_correlation(0.3, np.array([1.0]), np.array([0.7]))[0])
+
+
+def test_stacked_parameters_validated_elementwise():
+    with pytest.raises(ValueError):
+        matern_correlation(np.ones(3), np.array([[1.0], [-1.0]]), 1.0)
+    with pytest.raises(ValueError):
+        ReducedParams(rho=np.ones(2), nu=np.array([1.0, 51.0]), omega2=0.0)
+    with pytest.raises(ValueError):
+        MaternParams(sigma2=np.ones(2), rho=1.0, nu=1.0,
+                     tau2=np.array([0.1, np.nan]))
 
 def test_rbf_pointwise_limit_at_high_order():
     rho = 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
                                make_grid, matern_correlation)
-from krigesense import kriging
+from krigesense import kriging, linalg
 from krigesense.kriging import (KrigingSystem, kriging_weights, predict_mean,
                                 kriging_variance, log_likelihood,
                                 nearest_neighbors)
@@ -183,16 +183,15 @@ def test_log_likelihood_unit_single_point():
 
 def test_log_likelihood_diagonal_limit():
     # rho tiny: off-diagonal correlations vanish and K is diagonal with
-    # sigma2 + tau2. The normalizing constant uses the input dimension
-    # (documented convention), so the independent-sum reference gets the
-    # matching constant rather than n/2 log(2 pi).
+    # sigma2 + tau2, so the density is a product of n independent normals
+    # with normalizing constant -(n/2) log(2 pi).
     pts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     train = LocationSet(pts)
     params = MaternParams(sigma2=2.0, rho=1e-4, nu=0.5, tau2=0.5)
     y = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
     kd = params.sigma2 + params.tau2
     independent_sum = np.sum(-0.5 * np.log(kd) - 0.5 * y * y / kd)
-    expected = independent_sum - 0.5 * train.dimension * math.log(2 * math.pi)
+    expected = independent_sum - 0.5 * train.count * math.log(2 * math.pi)
     got = log_likelihood(train, y, params)
     assert abs(got - expected) < 1e-12
 
@@ -210,7 +209,7 @@ def test_log_likelihood_matches_explicit_oracle():
     sign, log_det = np.linalg.slogdet(cov)
     assert sign > 0
     quad = float(y @ gauss_jordan_inverse(cov) @ y)
-    expected = (-0.5 * train.dimension * math.log(2 * math.pi)
+    expected = (-0.5 * train.count * math.log(2 * math.pi)
                 - 0.5 * log_det - 0.5 * quad)
     assert abs(log_likelihood(train, y, params) - expected) < 1e-9
 
@@ -315,3 +314,97 @@ def test_system_factor_shared_by_weight_and_variance_paths():
     ratio = 1.0 - float(system.cross @ w)
     v = kriging_variance(grid, 0.5, params)
     assert abs(v - params.sigma2 * ratio) < 1e-12
+
+
+# ----------------------------------------------------------------- stacks
+
+
+def _study_box_stack(count, seed):
+    # rows drawn over the study box of the Sobol studies
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.1, 5.0, count), rng.uniform(0.01, 5.0, count),
+            rng.uniform(0.01, 2.5, count), rng.uniform(0.001, 0.1, count))
+
+
+@pytest.mark.parametrize("grid, pred", [
+    (make_grid(1, 21, exclude=0.5), np.array([0.5])),
+    (make_grid(2, 4), np.array([0.5, 0.5])),
+])
+def test_stacked_weights_and_variances_match_dense_oracle(grid, pred):
+    sigma2, rho, nu, omega2 = _study_box_stack(64, seed=17)
+    weights = kriging_weights(grid, pred,
+                              ReducedParams(rho, nu, omega2)).weights
+    variances = kriging_variance(
+        grid, pred, MaternParams(sigma2, rho, nu, omega2 * sigma2))
+    assert weights.shape == (64, grid.count)
+    assert variances.shape == (64,)
+    for i in range(64):
+        params = ReducedParams(rho[i], nu[i], omega2[i])
+        want = dense_weight_oracle(grid, pred, params)
+        assert np.max(np.abs(weights[i] - want)) < 1e-9
+        cross = matern_correlation(
+            np.linalg.norm(grid.points - pred[None, :], axis=1),
+            rho[i], nu[i])
+        want_var = sigma2[i] * (1.0 - float(cross @ want))
+        assert abs(variances[i] - want_var) < 1e-9 * sigma2[i]
+
+
+def test_row_built_in_a_stack_equals_row_built_alone():
+    grid = make_grid(1, 21, exclude=0.5)
+    sigma2, rho, nu, omega2 = _study_box_stack(64, seed=23)
+    nu[:3] = (0.5, 1.5, 2.5)
+    stacked = KrigingSystem.build(grid, 0.5, ReducedParams(rho, nu, omega2))
+    weights = kriging_weights(grid, 0.5,
+                              ReducedParams(rho, nu, omega2)).weights
+    variances = kriging_variance(
+        grid, 0.5, MaternParams(sigma2, rho, nu, omega2 * sigma2))
+    for i in range(64):
+        alone = KrigingSystem.build(grid, 0.5,
+                                    ReducedParams(rho[i], nu[i], omega2[i]))
+        assert np.array_equal(stacked.factor.lower[i], alone.factor.lower)
+        assert np.array_equal(stacked.cross[i], alone.cross)
+        w = kriging_weights(grid, 0.5,
+                            ReducedParams(rho[i], nu[i], omega2[i])).weights
+        assert np.array_equal(weights[i], w)
+        v = kriging_variance(grid, 0.5, MaternParams(
+            sigma2[i], rho[i], nu[i], omega2[i] * sigma2[i]))
+        assert variances[i] == v
+
+
+def test_stack_with_a_jittered_row_matches_per_system_factors():
+    # a zero-nugget nu = 10 system on the 20-point grid only factors at the
+    # 1e-12 rung, so the batched Cholesky raises and every row walks the
+    # jitter ladder on its own
+    grid = make_grid(1, 21, exclude=0.5)
+    rho = np.ones(5)
+    nu = np.array([1.0, 1.0, 10.0, 1.0, 1.0])
+    omega2 = np.array([0.01, 0.01, 0.0, 0.01, 0.01])
+    system = KrigingSystem.build(grid, 0.5, ReducedParams(rho, nu, omega2))
+    weights = kriging_weights(grid, 0.5,
+                              ReducedParams(rho, nu, omega2)).weights
+    assert system.factor.jitter_used.tolist() == [0.0, 0.0, 1e-12, 0.0, 0.0]
+    for i in range(5):
+        params = ReducedParams(rho[i], nu[i], omega2[i])
+        d = np.abs(grid.points - grid.points.T)
+        alone = linalg.spd_factor(matern_correlation(d, rho[i], nu[i])
+                                  + omega2[i] * np.eye(grid.count))
+        assert system.factor.jitter_used[i] == alone.jitter_used
+        assert np.array_equal(system.factor.lower[i], alone.lower)
+        assert np.array_equal(weights[i],
+                              linalg.spd_solve(alone, system.cross[i]))
+        assert np.array_equal(weights[i],
+                              kriging_weights(grid, 0.5, params).weights)
+
+
+def test_scalar_parameters_keep_single_system_shapes():
+    grid = make_grid(2, 4)
+    system = KrigingSystem.build(grid, [0.5, 0.5],
+                                 ReducedParams(1.0, 1.5, 0.01))
+    assert system.factor.lower.shape == (16, 16)
+    assert system.cross.shape == (16,)
+    assert isinstance(system.factor.jitter_used, float)
+    v = kriging_variance(grid, [0.5, 0.5], MaternParams(1.0, 1.0, 1.5, 0.01))
+    assert isinstance(v, float)
+    with pytest.raises(ValueError):
+        KrigingSystem.build(grid, [0.5, 0.5],
+                            ReducedParams(np.ones((2, 2)), 1.5, 0.01))

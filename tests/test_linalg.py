@@ -72,6 +72,27 @@ def test_solve_round_trip_property():
         assert np.allclose(linalg.spd_solve(f, a @ b), b, rtol=1e-8)
 
 
+
+def test_stack_factor_and_solve_match_per_system_calls():
+    rng = np.random.default_rng(29)
+    stack = np.stack([random_spd(6, rng) for _ in range(5)])
+    rhs = rng.standard_normal((5, 6))
+    f = linalg.spd_factor_stack(stack)
+    assert f.lower.shape == (5, 6, 6)
+    assert f.jitter_used.tolist() == [0.0] * 5
+    x = linalg.spd_solve(f, rhs)
+    for i in range(5):
+        alone = linalg.spd_factor(stack[i])
+        assert np.array_equal(f.lower[i], alone.lower)
+        assert np.array_equal(x[i], linalg.spd_solve(alone, rhs[i]))
+    with pytest.raises(ValueError):
+        linalg.spd_solve(f, np.zeros((5, 4)))
+    # a singular member sends the stack down the per-system jitter ladder
+    stack[2] = np.ones((6, 6))
+    f = linalg.spd_factor_stack(stack)
+    assert f.jitter_used[2] > 0.0
+    assert np.count_nonzero(f.jitter_used) == 1
+
 def test_solve_shape_mismatch():
     f = linalg.spd_factor(np.eye(3))
     with pytest.raises(ValueError):

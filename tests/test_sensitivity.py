@@ -178,7 +178,7 @@ def test_study_grid_layouts():
 
 def test_single_active_input_takes_all_share():
     box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
-    res = sobol_total(lambda row: float(row[0]), box, base_count=512, seed=0)
+    res = sobol_total(lambda rows: rows[:, 0], box, base_count=512, seed=0)
     assert res.share_of("a") > 95.0
     assert res.share_of("b") < 5.0
     assert res.total_index[1] == 0.0
@@ -186,7 +186,7 @@ def test_single_active_input_takes_all_share():
 
 def test_additive_equal_ranges_split_evenly():
     box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
-    res = sobol_total(lambda row: float(row[0] + row[1]), box,
+    res = sobol_total(lambda rows: rows[:, 0] + rows[:, 1], box,
                       base_count=1024, seed=0)
     assert abs(res.share_of("a") - 50.0) <= 5.0
     assert abs(res.share_of("b") - 50.0) <= 5.0
@@ -196,8 +196,7 @@ def test_ishigami_total_indices():
     box = ParamBox(ranges=(("t1", -math.pi, math.pi),
                            ("t2", -math.pi, math.pi),
                            ("t3", -math.pi, math.pi)))
-    res = sobol_total(lambda row: float(ishigami(row)[0]), box,
-                      base_count=4096, seed=0)
+    res = sobol_total(ishigami, box, base_count=4096, seed=0)
     want = ishigami_total_indices()
     for i in range(3):
         assert abs(res.total_index[i] - want[i]) <= 0.05
@@ -208,9 +207,10 @@ def test_ignored_input_has_exactly_zero_index():
     # difference rows for it are identically zero
     box = ParamBox.defaults(("sigma2", "rho", "nu", "omega2"))
 
-    def f(row):
-        return response_weights(ReducedParams(row[1], row[2], row[3]),
-                                int(row[4]))
+    def f(rows):
+        return response_weights(
+            ReducedParams(rows[:, 1], rows[:, 2], rows[:, 3]),
+            rows[:, 4].astype(int))
 
     res = sobol_total(f, box, base_count=512, seed=3, location_count=20)
     assert res.total_index[0] == 0.0
@@ -220,7 +220,7 @@ def test_ignored_input_has_exactly_zero_index():
 
 def test_location_factor_column_and_cost():
     box = ParamBox(ranges=(("a", 0.0, 1.0),))
-    res = sobol_total(lambda row: float(row[1]), box, base_count=256,
+    res = sobol_total(lambda rows: rows[:, 1], box, base_count=256,
                       seed=0, location_count=6)
     assert res.inputs == ("a", "x")
     assert res.evaluations == 256 * 4
@@ -229,7 +229,7 @@ def test_location_factor_column_and_cost():
 
 def test_sobol_result_shares_and_signs():
     box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
-    res = sobol_total(lambda row: float(row[0] * row[1] + row[1]), box,
+    res = sobol_total(lambda rows: rows[:, 0] * rows[:, 1] + rows[:, 1], box,
                       base_count=512, seed=5)
     assert isinstance(res, SobolResult)
     assert abs(float(np.sum(res.percent_share)) - 100.0) <= 0.1
@@ -240,7 +240,7 @@ def test_sobol_result_shares_and_signs():
 
 def test_sobol_determinism_and_seed_sensitivity():
     box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
-    f = lambda row: float(math.sin(row[0]) + row[1] ** 2)  # noqa: E731
+    f = lambda rows: np.sin(rows[:, 0]) + rows[:, 1] ** 2  # noqa: E731
     r1 = sobol_total(f, box, base_count=256, seed=11)
     r2 = sobol_total(f, box, base_count=256, seed=11)
     r3 = sobol_total(f, box, base_count=256, seed=12)
@@ -252,15 +252,16 @@ def test_sobol_determinism_and_seed_sensitivity():
 def test_constant_response_raises():
     box = ParamBox(ranges=(("a", 0.0, 1.0),))
     with pytest.raises(UndefinedSharesError):
-        sobol_total(lambda row: 1.0, box, base_count=256, seed=0)
+        sobol_total(lambda rows: np.ones(len(rows)), box, base_count=256,
+                    seed=0)
 
 
 def test_sobol_validation():
     box = ParamBox(ranges=(("a", 0.0, 1.0),))
     with pytest.raises(ValueError):
-        sobol_total(lambda row: float(row[0]), box, base_count=128, seed=0)
+        sobol_total(lambda rows: rows[:, 0], box, base_count=128, seed=0)
     with pytest.raises(ValueError):
-        sobol_total(lambda row: float(row[0]), box, base_count=256, seed=0,
+        sobol_total(lambda rows: rows[:, 0], box, base_count=256, seed=0,
                     location_count=0)
 
 
