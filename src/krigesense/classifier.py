@@ -6,19 +6,26 @@ Hyperparameters come from a leave-one-out grid search over nested subsets
 of (nu, rho, omega2); the benchmark times the three subset searches on
 shared splits to expose the cost/accuracy trade.
 
-The search engine batches all per-point local systems: neighbor pairs are
-deduplicated once per training set, each (nu, rho) combination prices the
-correlation once and shares it across the omega2 candidates, and the
-stacked systems go through one vectorized solve per candidate. Scoring is
-strictly sequential so timings are comparable across runs and subsets.
+The search engine batches all per-point local systems: neighbor pairs and
+query-neighbor pairs are deduplicated into one distance table per
+training set, each (nu, rho) combination prices that table once and
+shares it across the omega2 candidates, and the stacked systems go
+through one solve per candidate. The fill, the gather into the stack and
+the solve run on one thread pool sized to the cores in the process's CPU
+affinity mask, in blocks of a fixed size that never depends on the
+worker count, so every output is bitwise the same on any machine and at
+any pool size. Candidates are scored one after another.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -37,6 +44,7 @@ __all__ = [
     "loo_accuracy",
     "grid_search",
     "run_benchmark",
+    "worker_count",
 ]
 
 # latent-field model behind the synthetic datasets
@@ -49,6 +57,11 @@ _SUBSETS = ("nu_only", "nu_rho", "all")
 # below this nugget ratio the stacked systems get an explicit
 # positive-definiteness probe before the batched solve
 _PD_PROBE_BELOW = 1e-6
+
+# work per pool task: the fill prices this many distances, the gather and
+# the solve handle this many local systems
+_VALUES_PER_CHUNK = 16384
+_SYSTEMS_PER_CHUNK = 50
 
 
 @dataclass(frozen=True)
@@ -176,17 +189,79 @@ def synth_dataset(m: int, q: int, seed: int,
     return LabeledSet(features=feats, labels=labels)
 
 
+def worker_count() -> int:
+    """Size of the classifier's thread pool: the cores in this process's
+    CPU affinity mask, or os.cpu_count() where there is no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _LazyPool:
+    """The process-wide thread pool of worker_count() threads. It starts
+    on the first submit, so importing the module starts no thread."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: Optional[ThreadPoolExecutor] = None
+
+    def submit(self, fn, *args) -> Future:
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=worker_count(),
+                    thread_name_prefix="krigesense")
+            return self._executor.submit(fn, *args)
+
+    def forget(self) -> None:
+        """Drop the executor in a forked child: the child inherits it
+        without its threads, so work submitted to it would never run."""
+        self._lock = threading.Lock()
+        self._executor = None
+
+
+_POOL = _LazyPool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.forget)
+
+
+def _in_chunks(task: Callable[[int, int], None], total: int,
+               size: int) -> None:
+    """Run task(start, stop) over [0, total) in blocks of `size`.
+
+    Block boundaries depend only on total and size, never on the pool, and
+    every task writes its own slice, so results do not depend on the
+    worker count. A single block runs inline.
+    """
+    if total <= size:
+        task(0, total)
+        return
+    futures = [_POOL.submit(task, start, min(start + size, total))
+               for start in range(0, total, size)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 class _LocalPlan:
     """Precomputed neighbor structure for a (train, query, k) triple.
 
-    Holds the k-nearest-neighbor table (ties by lower training index),
-    the deduplicated unordered neighbor-pair and cross distances with
-    int32 gather maps, the stacked neighbor labels, and a reusable
-    correlation buffer. Pairs are keyed min-index first, so the two
-    orientations of one pair share a single distance entry.
+    Holds the k-nearest-neighbor table (ties by lower training index), one
+    deduplicated table of point-pair distances with int32 gather maps into
+    it, the stacked neighbor labels, and reusable buffers. Points are the
+    training rows plus m + i for held-out query i; a leave-one-out query is
+    its own training row. Neighbor pairs (j, l) and cross pairs (query i,
+    neighbor j) are both keyed min-index first in that one key space, so
+    every distinct pair, of either kind, is priced once per (nu, rho).
+
     Everything that does not depend on (nu, rho, omega2) happens here
-    once, so scoring a candidate is one correlation fill plus one batched
-    solve.
+    once. Scoring a candidate is one Matern fill over the distance table,
+    one gather into the (nq, k, k) systems and (nq, k) cross correlations,
+    and one solve of the stack. Each of the three runs on the module's
+    thread pool in fixed blocks (_VALUES_PER_CHUNK distances or
+    _SYSTEMS_PER_CHUNK systems), so the outputs are bitwise the same for
+    any worker count.
     """
 
     def __init__(self, train: LabeledSet, query_features: np.ndarray,
@@ -199,44 +274,72 @@ class _LocalPlan:
         if exclude_self:
             keep = order != np.arange(nq)[:, None]
             order = order[keep].reshape(nq, m - 1)
-        nb = order[:, :k]
-        rows = np.arange(nq)[:, None]
-        cross_d = dist[rows, nb]
-
-        lo = np.minimum(nb[:, :, None], nb[:, None, :]).astype(np.int64)
-        hi = np.maximum(nb[:, :, None], nb[:, None, :])
-        pair_keys = (lo * m + hi).ravel()
-        if m * m <= 4_000_000:
-            seen = np.zeros(m * m, dtype=bool)
-            seen[pair_keys] = True
-            unique_keys = np.flatnonzero(seen)
-            lut = np.empty(m * m, dtype=np.int32)
-            lut[unique_keys] = np.arange(len(unique_keys), dtype=np.int32)
-            pair_inv = lut[pair_keys]
+        nb = order[:, :k].astype(np.int64)
+        del dist, order
+        if exclude_self:
+            points, query_ids = feats, np.arange(nq)
         else:
-            unique_keys, pair_inv = np.unique(pair_keys, return_inverse=True)
-        diff = feats[unique_keys // m] - feats[unique_keys % m]
-        self.pair_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        self.pair_inv = np.ascontiguousarray(
-            pair_inv.reshape(nq, k, k).astype(np.int32, copy=False))
+            points = np.vstack([feats, query_features])
+            query_ids = m + np.arange(nq)
+        span = points.shape[0]
 
-        cross_unique, cross_inv = np.unique(cross_d, return_inverse=True)
-        self.cross_dist = cross_unique
-        self.cross_inv = cross_inv.reshape(nq, k).astype(np.int32)
+        # pair keys of all systems, then cross keys, written in place block
+        # by block so no full-size temporary exists
+        keys = np.empty(nq * k * (k + 1), dtype=np.int64)
+        pair_keys = keys[:nq * k * k].reshape(nq, k, k)
+        cross_keys = keys[nq * k * k:].reshape(nq, k)
+
+        def key(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+            np.multiply(np.minimum(a, b), span, out=out)
+            out += np.maximum(a, b)
+
+        def build_keys(start: int, stop: int) -> None:
+            block = nb[start:stop]
+            key(block[:, :, None], block[:, None, :], pair_keys[start:stop])
+            key(query_ids[start:stop, None], block, cross_keys[start:stop])
+
+        _in_chunks(build_keys, nq, _SYSTEMS_PER_CHUNK)
+        if span * span <= 4_000_000:
+            seen = np.zeros(span * span, dtype=bool)
+            seen[keys] = True
+            unique_keys = np.flatnonzero(seen)
+            lut = np.empty(span * span, dtype=np.int32)
+            lut[unique_keys] = np.arange(len(unique_keys), dtype=np.int32)
+            inverse = lut[keys]
+        else:
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            inverse = inverse.astype(np.int32)
+        del keys
+        diff = points[unique_keys // span] - points[unique_keys % span]
+        self.pair_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        self.pair_inv = inverse[:nq * k * k].reshape(nq, k, k)
+        self.cross_inv = inverse[nq * k * k:].reshape(nq, k)
 
         self.neighbor_labels = train.labels[nb].astype(float)
         self.k = k
+        self._values = np.empty(self.pair_dist.size)
         self._system_buffer = np.empty((nq, k, k))
         self._cross_buffer = np.empty((nq, k))
+        self._solved = np.empty((nq, k))
         self._diag = np.arange(k)
 
     def correlation(self, rho: float, nu: float
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fill the shared buffers with the correlation for (rho, nu)."""
-        np.take(matern_correlation(self.pair_dist, rho, nu),
-                self.pair_inv, out=self._system_buffer)
-        np.take(matern_correlation(self.cross_dist, rho, nu),
-                self.cross_inv, out=self._cross_buffer)
+        values = self._values
+
+        def fill(start: int, stop: int) -> None:
+            values[start:stop] = matern_correlation(
+                self.pair_dist[start:stop], rho, nu)
+
+        def gather(start: int, stop: int) -> None:
+            np.take(values, self.pair_inv[start:stop],
+                    out=self._system_buffer[start:stop])
+            np.take(values, self.cross_inv[start:stop],
+                    out=self._cross_buffer[start:stop])
+
+        _in_chunks(fill, values.size, _VALUES_PER_CHUNK)
+        _in_chunks(gather, len(self._cross_buffer), _SYSTEMS_PER_CHUNK)
         return self._system_buffer, self._cross_buffer
 
     def latent_means(self, systems: np.ndarray, cross: np.ndarray,
@@ -246,13 +349,13 @@ class _LocalPlan:
         The correlation diagonal is exactly 1, so the system diagonal is
         rewritten to 1 + omega2 in place for each candidate. The stacked
         matrices are positive definite by construction once omega2
-        clears roundoff scale; below that a Cholesky probe walks the
-        jitter ladder first.
+        clears roundoff scale; below that a Cholesky probe of the whole
+        stack walks the jitter ladder first, and every system gets the
+        first rung at which the whole stack factors.
         """
         base = 1.0 + omega2
-        if omega2 >= _PD_PROBE_BELOW:
-            systems[:, self._diag, self._diag] = base
-        else:
+        probe = omega2 < _PD_PROBE_BELOW
+        if probe:
             for scale in linalg.JITTER_LADDER:
                 systems[:, self._diag, self._diag] = base + scale * base
                 try:
@@ -263,8 +366,17 @@ class _LocalPlan:
             else:
                 raise linalg.NotPositiveDefiniteError(
                     "local kriging systems not positive definite")
-        solved = np.linalg.solve(systems, self.neighbor_labels[:, :, None])
-        return np.einsum("nk,nk->n", cross, solved[:, :, 0])
+        solved = self._solved
+
+        def solve(start: int, stop: int) -> None:
+            block = systems[start:stop]
+            if not probe:
+                block[:, self._diag, self._diag] = base
+            solved[start:stop] = np.linalg.solve(
+                block, self.neighbor_labels[start:stop, :, None])[:, :, 0]
+
+        _in_chunks(solve, len(solved), _SYSTEMS_PER_CHUNK)
+        return np.einsum("nk,nk->n", cross, solved)
 
 
 def _check_k(k: int, limit: int, what: str) -> None:

@@ -25,7 +25,7 @@ from . import __version__
 from .identifiability import band_of, collinearity_scan
 from .kernel import ReducedParams
 from .kriging import kriging_weights
-from .classifier import run_benchmark
+from .classifier import run_benchmark, worker_count
 from .sensitivity import StudyConfig, run_study, study_grid
 
 __all__ = ["main"]
@@ -72,6 +72,7 @@ def _write_manifest(args: argparse.Namespace, started: str,
         "versions": (f"krigesense {__version__} "
                      f"(numpy {np.__version__}, scipy {scipy.__version__})"),
         "threads": thread_count(),
+        "workers": worker_count(),
         "started": started,
         "finished": _now(),
         "outputs": outputs,

@@ -1,13 +1,19 @@
 """Tests for the latent-GP classification benchmark components."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from krigesense import rng
+from krigesense import classifier, rng
 from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
-from krigesense.kernel import LocationSet, ReducedParams
+from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
 from krigesense.kriging import kriging_weights
 
 TRUE_PARAMS = GENERATOR_PARAMS.reduced()
@@ -158,6 +164,164 @@ def test_loo_deterministic_and_bounds():
     assert loo_accuracy(data, params, k=5) == loo_accuracy(data, params, k=5)
     with pytest.raises(ValueError):
         loo_accuracy(data, params, k=30)
+
+
+# ------------------------------------------------------------ local plan
+
+
+def neighbor_table(train, query, k, loo):
+    """k nearest training rows per query, ties by lower index, self
+    dropped in leave-one-out."""
+    order = np.argsort(cdist(query, train.features), axis=1, kind="stable")
+    if loo:
+        order = np.array([row[row != i] for i, row in enumerate(order)])
+    return order[:, :k]
+
+
+def plain_latent_means(train, query, k, loo, params):
+    """Reference: cdist, matern_correlation over the full (nq, k, k) and
+    (nq, k) distances, one solve of the whole stack, then w . y."""
+    nb = neighbor_table(train, query, k, loo)
+    feats = train.features
+    systems = matern_correlation(np.stack([cdist(feats[row], feats[row])
+                                           for row in nb]),
+                                 params.rho, params.nu)
+    cross = matern_correlation(cdist(query, feats)[np.arange(len(nb))[:, None],
+                                                   nb],
+                               params.rho, params.nu)
+    systems = systems + params.omega2 * np.eye(k)
+    # no jitter rung: the plan's probe must stop at the first (zero) rung
+    np.linalg.cholesky(systems)
+    solved = np.linalg.solve(systems, train.labels[nb].astype(float)[..., None])
+    return np.einsum("nk,nk->n", cross, solved[:, :, 0])
+
+
+def latent_from_plan(train, query, k, loo, params):
+    plan = classifier._LocalPlan(train, query, k, exclude_self=loo)
+    systems, cross = plan.correlation(params.rho, params.nu)
+    return plan.latent_means(systems, cross, params.omega2)
+
+
+def small_chunks(monkeypatch):
+    # uneven blocks that split every stage of a small plan many times
+    monkeypatch.setattr(classifier, "_VALUES_PER_CHUNK", 97)
+    monkeypatch.setattr(classifier, "_SYSTEMS_PER_CHUNK", 7)
+
+
+CHUNK = classifier._SYSTEMS_PER_CHUNK
+
+
+@pytest.mark.parametrize("loo", [True, False])
+@pytest.mark.parametrize("count", [CHUNK // 2, 2 * CHUNK + 7])
+@pytest.mark.parametrize("omega2", [0.01, 0.0])
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_local_plan_latent_means_match_plain_solve(loo, count, omega2,
+                                                   chunks, monkeypatch):
+    if chunks == "small":
+        small_chunks(monkeypatch)
+    # a stack of `count` systems: LOO over `count` training rows, or
+    # `count` held-out queries against 80 training rows
+    data = synth_dataset(count + 80 + count % 2, 3, seed=count)
+    split = count if loo else count + count % 2
+    train = LabeledSet(features=data.features[:split] if loo
+                       else data.features[split:],
+                       labels=data.labels[:split] if loo
+                       else data.labels[split:])
+    query = train.features if loo else data.features[:count]
+    params = ReducedParams(rho=0.3, nu=0.8, omega2=omega2)
+    want = plain_latent_means(train, query, 12, loo, params)
+    got = latent_from_plan(train, query, 12, loo, params)
+    assert got.shape == (len(query),)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("loo", [True, False])
+def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
+    # in two dimensions the plan's distance table forms the same
+    # floating-point sum as cdist, so the gathered values are exact
+    small_chunks(monkeypatch)
+    data = synth_dataset(160, 2, seed=11)
+    train = LabeledSet(features=data.features[:120],
+                       labels=data.labels[:120])
+    query = train.features if loo else data.features[120:]
+    k, rho, nu = 9, 0.4, 1.3
+    nb = neighbor_table(train, query, k, loo)
+    rows = np.arange(len(query))[:, None]
+    plan = classifier._LocalPlan(train, query, k, exclude_self=loo)
+    systems, cross = plan.correlation(rho, nu)
+    assert np.array_equal(
+        cross, matern_correlation(cdist(query, train.features)[rows, nb],
+                                  rho, nu))
+    feats = train.features
+    assert np.array_equal(
+        systems, matern_correlation(
+            np.stack([cdist(feats[row], feats[row]) for row in nb]), rho, nu))
+    assert np.array_equal(plan.neighbor_labels, train.labels[nb])
+
+
+def test_classifier_outputs_independent_of_worker_count(monkeypatch):
+    small_chunks(monkeypatch)
+    data = synth_dataset(150, 2, seed=12)
+    train = LabeledSet(features=data.features[:110],
+                       labels=data.labels[:110])
+    test_features = data.features[110:]
+    grid = GridSpec(subset="all", nu_values=(0.5, 1.2, 2.2),
+                    rho_values=(0.3, 1.0), omega2_values=(0.0, 0.01))
+
+    def run():
+        selected, trial = grid_search(train, grid, k=10)
+        latent = [latent_from_plan(train, train.features, 10, True, c)
+                  for c in grid.candidates()]
+        return (selected, trial.accuracy, trial.evaluations,
+                classify(train, test_features, selected, k=10), latent)
+
+    results = []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(classifier, "_POOL", pool)
+                results.append(run())
+    finally:
+        sys.setswitchinterval(switch)
+    first = results[0]
+    for other in results[1:]:
+        assert other[:3] == first[:3]
+        assert np.array_equal(other[3], first[3])
+        assert all(np.array_equal(a, b) for a, b in zip(other[4], first[4]))
+
+
+def run_python(code):
+    src = os.path.dirname(os.path.dirname(classifier.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env, timeout=120).stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_pool():
+    # the child inherits the parent's pool object without its threads
+    code = """
+import os
+from krigesense import classifier as c
+from krigesense.kernel import ReducedParams
+data = c.synth_dataset(300, 2, seed=1)
+params = ReducedParams(1.0, 1.0, 0.01)
+before = c.classify(data, data.features[:200], params, k=10)
+pid = os.fork()
+if pid == 0:
+    after = c.classify(data, data.features[:200], params, k=10)
+    os._exit(0 if (after == before).all() else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+    assert run_python(code).split() == ["0"]
+
+
+def test_import_starts_no_thread():
+    code = ("import threading, krigesense.classifier as c, krigesense.cli; "
+            "print(threading.active_count(), c._POOL._executor is None)")
+    assert run_python(code).split() == ["1", "True"]
 
 
 # ----------------------------------------------------------- grid search

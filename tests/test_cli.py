@@ -92,6 +92,7 @@ def test_weights_manifest_contents(tmp_path):
     assert manifest["seed"] is None
     assert manifest["outputs"] == [str(out)]
     assert isinstance(manifest["threads"], int)
+    assert isinstance(manifest["workers"], int) and manifest["workers"] >= 1
     assert "krigesense" in manifest["versions"]
     started = datetime.datetime.fromisoformat(manifest["started"])
     finished = datetime.datetime.fromisoformat(manifest["finished"])
