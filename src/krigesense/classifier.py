@@ -11,28 +11,28 @@ query-neighbor pairs are deduplicated into one distance table per
 training set, each (nu, rho) combination prices that table once and
 shares it across the omega2 candidates, and the stacked systems go
 through one solve per candidate. The fill, the gather into the stack and
-the solve run on one thread pool sized to the cores in the process's CPU
-affinity mask, in blocks of a fixed size that never depends on the
-worker count, so every output is bitwise the same on any machine and at
-any pool size. Candidates are scored one after another.
+the solve run in blocks of a fixed size that never depends on the worker
+count, so every output is bitwise the same on any machine and at any pool
+size. Each grid_search, classify or loo_accuracy call opens its own
+thread pool, sized to the cores in the process's CPU affinity mask, and
+shuts it down before returning, so no thread outlives the call.
+Candidates are scored one after another.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import linalg, rng
-from .kernel import MaternParams, ReducedParams, matern_correlation, \
-    matern_covariance
+from .kernel import MaternParams, ReducedParams, _check_params, \
+    matern_correlation, matern_covariance
 
 __all__ = [
     "GENERATOR_PARAMS",
@@ -120,16 +120,13 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.subset not in _SUBSETS:
             raise ValueError(f"subset must be one of {_SUBSETS}")
-        for name, values, zero_ok in (("nu", self.nu_values, False),
-                                      ("rho", self.rho_values, False),
-                                      ("omega2", self.omega2_values, True)):
-            vals = tuple(float(v) for v in values)
+        for name in ("nu", "rho", "omega2"):
+            vals = tuple(float(v) for v in getattr(self, f"{name}_values"))
             if not vals:
                 raise ValueError(f"{name}_values must be nonempty")
-            if not all(math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))
-                       for v in vals):
-                raise ValueError(f"invalid {name} value in {vals}")
             object.__setattr__(self, f"{name}_values", vals)
+        _check_params(nu=self.nu_values, rho=self.rho_values,
+                      omega2=self.omega2_values)
 
     @classmethod
     def for_subset(cls, subset: str) -> "GridSpec":
@@ -190,45 +187,22 @@ def synth_dataset(m: int, q: int, seed: int,
 
 
 def worker_count() -> int:
-    """Size of the classifier's thread pool: the cores in this process's
-    CPU affinity mask, or os.cpu_count() where there is no mask."""
+    """Size of the thread pool each search opens: the cores in this
+    process's CPU affinity mask, or os.cpu_count() where there is no mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
 
 
-class _LazyPool:
-    """The process-wide thread pool of worker_count() threads. It starts
-    on the first submit, so importing the module starts no thread."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def submit(self, fn, *args) -> Future:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=worker_count(),
-                    thread_name_prefix="krigesense")
-            return self._executor.submit(fn, *args)
-
-    def forget(self) -> None:
-        """Drop the executor in a forked child: the child inherits it
-        without its threads, so work submitted to it would never run."""
-        self._lock = threading.Lock()
-        self._executor = None
+def _open_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=worker_count(),
+                              thread_name_prefix="krigesense")
 
 
-_POOL = _LazyPool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_POOL.forget)
-
-
-def _in_chunks(task: Callable[[int, int], None], total: int,
-               size: int) -> None:
-    """Run task(start, stop) over [0, total) in blocks of `size`.
+def _in_chunks(pool: ThreadPoolExecutor, task: Callable[[int, int], None],
+               total: int, size: int) -> None:
+    """Run task(start, stop) over [0, total) in blocks of `size` on pool.
 
     Block boundaries depend only on total and size, never on the pool, and
     every task writes its own slice, so results do not depend on the
@@ -237,7 +211,7 @@ def _in_chunks(task: Callable[[int, int], None], total: int,
     if total <= size:
         task(0, total)
         return
-    futures = [_POOL.submit(task, start, min(start + size, total))
+    futures = [pool.submit(task, start, min(start + size, total))
                for start in range(0, total, size)]
     wait(futures)
     for future in futures:
@@ -258,14 +232,15 @@ class _LocalPlan:
     Everything that does not depend on (nu, rho, omega2) happens here
     once. Scoring a candidate is one Matern fill over the distance table,
     one gather into the (nq, k, k) systems and (nq, k) cross correlations,
-    and one solve of the stack. Each of the three runs on the module's
-    thread pool in fixed blocks (_VALUES_PER_CHUNK distances or
-    _SYSTEMS_PER_CHUNK systems), so the outputs are bitwise the same for
-    any worker count.
+    and one solve of the stack. Each of the three runs on `pool`, which
+    the caller keeps open for one whole search, in fixed blocks
+    (_VALUES_PER_CHUNK distances or _SYSTEMS_PER_CHUNK systems), so the
+    outputs are bitwise the same for any worker count.
     """
 
     def __init__(self, train: LabeledSet, query_features: np.ndarray,
-                 k: int, exclude_self: bool) -> None:
+                 k: int, exclude_self: bool,
+                 pool: ThreadPoolExecutor) -> None:
         feats = train.features
         m = feats.shape[0]
         nq = query_features.shape[0]
@@ -298,7 +273,7 @@ class _LocalPlan:
             key(block[:, :, None], block[:, None, :], pair_keys[start:stop])
             key(query_ids[start:stop, None], block, cross_keys[start:stop])
 
-        _in_chunks(build_keys, nq, _SYSTEMS_PER_CHUNK)
+        _in_chunks(pool, build_keys, nq, _SYSTEMS_PER_CHUNK)
         if span * span <= 4_000_000:
             seen = np.zeros(span * span, dtype=bool)
             seen[keys] = True
@@ -317,6 +292,7 @@ class _LocalPlan:
 
         self.neighbor_labels = train.labels[nb].astype(float)
         self.k = k
+        self._pool = pool
         self._values = np.empty(self.pair_dist.size)
         self._system_buffer = np.empty((nq, k, k))
         self._cross_buffer = np.empty((nq, k))
@@ -338,8 +314,9 @@ class _LocalPlan:
             np.take(values, self.cross_inv[start:stop],
                     out=self._cross_buffer[start:stop])
 
-        _in_chunks(fill, values.size, _VALUES_PER_CHUNK)
-        _in_chunks(gather, len(self._cross_buffer), _SYSTEMS_PER_CHUNK)
+        _in_chunks(self._pool, fill, values.size, _VALUES_PER_CHUNK)
+        _in_chunks(self._pool, gather, len(self._cross_buffer),
+                   _SYSTEMS_PER_CHUNK)
         return self._system_buffer, self._cross_buffer
 
     def latent_means(self, systems: np.ndarray, cross: np.ndarray,
@@ -375,7 +352,7 @@ class _LocalPlan:
             solved[start:stop] = np.linalg.solve(
                 block, self.neighbor_labels[start:stop, :, None])[:, :, 0]
 
-        _in_chunks(solve, len(solved), _SYSTEMS_PER_CHUNK)
+        _in_chunks(self._pool, solve, len(solved), _SYSTEMS_PER_CHUNK)
         return np.einsum("nk,nk->n", cross, solved)
 
 
@@ -406,9 +383,10 @@ def classify(train: LabeledSet, test_features, params: ReducedParams,
     """
     _check_k(k, train.count, "classify")
     feats = _as_test_features(test_features, train.feature_dim)
-    plan = _LocalPlan(train, feats, k, exclude_self=False)
-    systems, cross = plan.correlation(params.rho, params.nu)
-    latent = plan.latent_means(systems, cross, params.omega2)
+    with _open_pool() as pool:
+        plan = _LocalPlan(train, feats, k, exclude_self=False, pool=pool)
+        systems, cross = plan.correlation(params.rho, params.nu)
+        latent = plan.latent_means(systems, cross, params.omega2)
     return np.where(latent >= 0.0, 1, -1).astype(np.int64)
 
 
@@ -422,9 +400,11 @@ def _loo_score(plan: _LocalPlan, labels: np.ndarray, systems, cross,
 def loo_accuracy(train: LabeledSet, params: ReducedParams, k: int) -> float:
     """Fraction of training points recovered from their k nearest others."""
     _check_k(k, train.count - 1, "leave-one-out")
-    plan = _LocalPlan(train, train.features, k, exclude_self=True)
-    systems, cross = plan.correlation(params.rho, params.nu)
-    return _loo_score(plan, train.labels, systems, cross, params.omega2)
+    with _open_pool() as pool:
+        plan = _LocalPlan(train, train.features, k, exclude_self=True,
+                          pool=pool)
+        systems, cross = plan.correlation(params.rho, params.nu)
+        return _loo_score(plan, train.labels, systems, cross, params.omega2)
 
 
 def grid_search(train: LabeledSet, grid: GridSpec,
@@ -436,22 +416,24 @@ def grid_search(train: LabeledSet, grid: GridSpec,
     """
     _check_k(k, train.count - 1, "grid search")
     started = time.perf_counter()
-    plan = _LocalPlan(train, train.features, k, exclude_self=True)
     labels = train.labels
     best = -1.0
     tied: List[Tuple[float, float, float]] = []
     evaluations = 0
-    for nu in grid.nu_values:
-        for rho in grid.rho_values:
-            systems, cross = plan.correlation(rho, nu)
-            for omega2 in grid.omega2_values:
-                score = _loo_score(plan, labels, systems, cross, omega2)
-                evaluations += 1
-                if score > best:
-                    best = score
-                    tied = [(rho, nu, omega2)]
-                elif score == best:
-                    tied.append((rho, nu, omega2))
+    with _open_pool() as pool:
+        plan = _LocalPlan(train, train.features, k, exclude_self=True,
+                          pool=pool)
+        for nu in grid.nu_values:
+            for rho in grid.rho_values:
+                systems, cross = plan.correlation(rho, nu)
+                for omega2 in grid.omega2_values:
+                    score = _loo_score(plan, labels, systems, cross, omega2)
+                    evaluations += 1
+                    if score > best:
+                        best = score
+                        tied = [(rho, nu, omega2)]
+                    elif score == best:
+                        tied.append((rho, nu, omega2))
     chosen = np.mean(np.asarray(tied), axis=0)
     selected = ReducedParams(rho=float(chosen[0]), nu=float(chosen[1]),
                              omega2=float(chosen[2]))

@@ -2,7 +2,8 @@
 
 Every run writes one CSV (path set by --out, default <subcommand>.csv)
 plus a JSON manifest next to it recording the command, the fully resolved
-flag values, seed, versions, thread level, timestamps, and output paths.
+flag values, seed, versions, the classifier's pool size, timestamps, and
+output paths.
 Reruns with the same flags and seed reproduce the CSV byte for byte;
 wall-time columns are the only nondeterministic fields.
 """
@@ -55,12 +56,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def thread_count() -> int:
-    """KRIGESENSE_THREADS as the manifest records it; nothing reads it."""
-    raw = os.environ.get("KRIGESENSE_THREADS", "").strip()
-    return max(int(raw), 1) if raw.isdecimal() else 1
-
-
 def _write_manifest(args: argparse.Namespace, started: str,
                     outputs: List[str]) -> str:
     flags = {key: value for key, value in vars(args).items()
@@ -71,7 +66,6 @@ def _write_manifest(args: argparse.Namespace, started: str,
         "seed": getattr(args, "seed", None),
         "versions": (f"krigesense {__version__} "
                      f"(numpy {np.__version__}, scipy {scipy.__version__})"),
-        "threads": thread_count(),
         "workers": worker_count(),
         "started": started,
         "finished": _now(),

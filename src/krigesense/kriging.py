@@ -109,10 +109,15 @@ def kriging_weights(train: LocationSet, pred,
     return KrigingWeights(weights=w, train_ref=train, pred_ref=system.pred)
 
 
-def predict_mean(weights: KrigingWeights, y) -> float:
-    """Weighted sum of the observations, w . y."""
+def predict_mean(weights: KrigingWeights, y):
+    """Weighted sum of the observations, w . y: a float for one system, an
+    (N,) array for a stack of N weight rows."""
     vec = _as_observations(y, weights.train_ref.count)
-    return float(weights.weights @ vec)
+    w = weights.weights
+    if w.ndim == 1:
+        return float(w @ vec)
+    # row by row, so each mean is the same dot product as its row alone
+    return np.array([row @ vec for row in w])
 
 
 def kriging_variance(train: Optional[LocationSet], pred,

@@ -69,23 +69,20 @@ def study_grid(grid_dimension: int) -> Tuple[LocationSet, np.ndarray]:
 
 @dataclass(frozen=True)
 class ParamBox:
-    """Active parameter ranges plus values held fixed."""
+    """Named ranges of the active parameters."""
 
     ranges: Tuple[Tuple[str, float, float], ...]
-    fixed: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         ranges = tuple((str(n), float(lo), float(hi))
                        for n, lo, hi in self.ranges)
-        fixed = tuple((str(n), float(v)) for n, v in self.fixed)
-        names = [n for n, _, _ in ranges] + [n for n, _ in fixed]
+        names = [n for n, _, _ in ranges]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
         for n, lo, hi in ranges:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate range for {n}: [{lo}, {hi}]")
         object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "fixed", fixed)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -96,14 +93,12 @@ class ParamBox:
         return len(self.ranges)
 
     @classmethod
-    def defaults(cls, names=("sigma2", "rho", "nu", "omega2"),
-                 fixed: Tuple[Tuple[str, float], ...] = ()
-                 ) -> "ParamBox":
+    def defaults(cls, names=("sigma2", "rho", "nu", "omega2")) -> "ParamBox":
         table = {n: (lo, hi) for n, lo, hi in DEFAULT_RANGES}
         unknown = [n for n in names if n not in table]
         if unknown:
             raise ValueError(f"no tabulated range for {unknown}")
-        return cls(ranges=tuple((n, *table[n]) for n in names), fixed=fixed)
+        return cls(ranges=tuple((n, *table[n]) for n in names))
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,11 @@ def plain_latent_means(train, query, k, loo, params):
 
 
 def latent_from_plan(train, query, k, loo, params):
-    plan = classifier._LocalPlan(train, query, k, exclude_self=loo)
-    systems, cross = plan.correlation(params.rho, params.nu)
-    return plan.latent_means(systems, cross, params.omega2)
+    with ThreadPoolExecutor(max_workers=classifier.worker_count()) as pool:
+        plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
+                                     pool=pool)
+        systems, cross = plan.correlation(params.rho, params.nu)
+        return plan.latent_means(systems, cross, params.omega2)
 
 
 def small_chunks(monkeypatch):
@@ -247,8 +249,10 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
     k, rho, nu = 9, 0.4, 1.3
     nb = neighbor_table(train, query, k, loo)
     rows = np.arange(len(query))[:, None]
-    plan = classifier._LocalPlan(train, query, k, exclude_self=loo)
-    systems, cross = plan.correlation(rho, nu)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
+                                     pool=pool)
+        systems, cross = plan.correlation(rho, nu)
     assert np.array_equal(
         cross, matern_correlation(cdist(query, train.features)[rows, nb],
                                   rho, nu))
@@ -280,9 +284,8 @@ def test_classifier_outputs_independent_of_worker_count(monkeypatch):
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 4):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                monkeypatch.setattr(classifier, "_POOL", pool)
-                results.append(run())
+            monkeypatch.setattr(classifier, "worker_count", lambda: workers)
+            results.append(run())
     finally:
         sys.setswitchinterval(switch)
     first = results[0]
@@ -301,7 +304,8 @@ def run_python(code):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_its_own_pool():
-    # the child inherits the parent's pool object without its threads
+    # every call shuts its pool down before returning, so a child forked
+    # after a first call inherits no pool and runs its own
     code = """
 import os
 from krigesense import classifier as c
@@ -319,9 +323,16 @@ print(os.waitpid(pid, 0)[1])
 
 
 def test_import_starts_no_thread():
-    code = ("import threading, krigesense.classifier as c, krigesense.cli; "
-            "print(threading.active_count(), c._POOL._executor is None)")
-    assert run_python(code).split() == ["1", "True"]
+    code = """
+import threading
+import krigesense.classifier as c, krigesense.cli
+from krigesense.kernel import ReducedParams
+print(threading.active_count())
+data = c.synth_dataset(300, 2, seed=1)
+c.classify(data, data.features[:200], ReducedParams(1.0, 1.0, 0.01), k=10)
+print(threading.active_count())
+"""
+    assert run_python(code).split() == ["1", "1"]
 
 
 # ----------------------------------------------------------- grid search
@@ -411,6 +422,9 @@ def test_grid_spec_validation():
                  omega2_values=(0.01,))
     with pytest.raises(ValueError):
         GridSpec(subset="all", nu_values=(1.0,), rho_values=(-1.0,),
+                 omega2_values=(0.01,))
+    with pytest.raises(ValueError):
+        GridSpec(subset="nu_only", nu_values=(60.0,), rho_values=(2.5,),
                  omega2_values=(0.01,))
     grid = GridSpec(subset="all", nu_values=(1.0,), rho_values=(1.0,),
                     omega2_values=(0.0,))

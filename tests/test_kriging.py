@@ -371,6 +371,22 @@ def test_row_built_in_a_stack_equals_row_built_alone():
         assert variances[i] == v
 
 
+def test_predict_mean_on_a_stack_matches_each_row_alone():
+    # the README quickstart's (3, 20) stack, then 64 rows over the study box
+    grid = make_grid(1, 21, exclude=0.5)
+    y = np.sin(2.0 * np.pi * grid.points[:, 0])
+    _, rho, nu, omega2 = _study_box_stack(64, seed=29)
+    rho[:3], nu[:3], omega2[:3] = (0.5, 1.0, 2.0), (0.5, 1.5, 2.5), 0.001
+    means = predict_mean(kriging_weights(grid, 0.5,
+                                         ReducedParams(rho, nu, omega2)), y)
+    assert isinstance(means, np.ndarray) and means.shape == (64,)
+    for i in range(64):
+        alone = predict_mean(kriging_weights(
+            grid, 0.5, ReducedParams(rho[i], nu[i], omega2[i])), y)
+        assert isinstance(alone, float)
+        assert means[i] == alone
+
+
 def test_stack_with_a_jittered_row_matches_per_system_factors():
     # a zero-nugget nu = 10 system on the 20-point grid only factors at the
     # 1e-12 rung, so the batched Cholesky raises and every row walks the

@@ -96,7 +96,7 @@ def test_param_box_validation():
     with pytest.raises(ValueError):
         ParamBox(ranges=(("a", 1.0, 1.0),))
     with pytest.raises(ValueError):
-        ParamBox(ranges=(("a", 0.0, 1.0),), fixed=(("a", 0.5),))
+        ParamBox(ranges=(("a", 0.0, 1.0), ("a", 0.0, 2.0)))
 
 
 # ------------------------------------------------------------ responses
