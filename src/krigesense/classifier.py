@@ -31,8 +31,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import linalg, rng
-from .kernel import MaternParams, ReducedParams, _check_params, \
+from .kernel import MaternParams, ReducedParams, _check_params, _distinct, \
     matern_correlation, matern_covariance
+from .kriging import _nearest
 
 __all__ = [
     "GENERATOR_PARAMS",
@@ -221,13 +222,16 @@ def _in_chunks(pool: ThreadPoolExecutor, task: Callable[[int, int], None],
 class _LocalPlan:
     """Precomputed neighbor structure for a (train, query, k) triple.
 
-    Holds the k-nearest-neighbor table (ties by lower training index), one
-    deduplicated table of point-pair distances with int32 gather maps into
-    it, the stacked neighbor labels, and reusable buffers. Points are the
-    training rows plus m + i for held-out query i; a leave-one-out query is
-    its own training row. Neighbor pairs (j, l) and cross pairs (query i,
-    neighbor j) are both keyed min-index first in that one key space, so
+    Holds the k-nearest-neighbor table (kriging's neighbor rule: ties by
+    lower training index), one deduplicated table of point-pair distances
+    with int32 gather maps into it, the stacked neighbor labels, and
+    reusable buffers. Points are the training rows plus m + i for held-out
+    query i; a leave-one-out query is its own training row. Neighbor pairs
+    (j, l) and cross pairs (query i, neighbor j) are both keyed min-index
+    first in that one key space and deduplicated by kernel._distinct, so
     every distinct pair, of either kind, is priced once per (nu, rho).
+    Keys, not distance values, are deduplicated: that needs only the
+    distinct pairs' distances, never all of them and a sort.
 
     Everything that does not depend on (nu, rho, omega2) happens here
     once. Scoring a candidate is one Matern fill over the distance table,
@@ -244,13 +248,7 @@ class _LocalPlan:
         feats = train.features
         m = feats.shape[0]
         nq = query_features.shape[0]
-        dist = cdist(query_features, feats)
-        order = np.argsort(dist, axis=1, kind="stable")
-        if exclude_self:
-            keep = order != np.arange(nq)[:, None]
-            order = order[keep].reshape(nq, m - 1)
-        nb = order[:, :k].astype(np.int64)
-        del dist, order
+        nb = _nearest(feats, query_features, k, exclude_self)
         if exclude_self:
             points, query_ids = feats, np.arange(nq)
         else:
@@ -274,16 +272,7 @@ class _LocalPlan:
             key(query_ids[start:stop, None], block, cross_keys[start:stop])
 
         _in_chunks(pool, build_keys, nq, _SYSTEMS_PER_CHUNK)
-        if span * span <= 4_000_000:
-            seen = np.zeros(span * span, dtype=bool)
-            seen[keys] = True
-            unique_keys = np.flatnonzero(seen)
-            lut = np.empty(span * span, dtype=np.int32)
-            lut[unique_keys] = np.arange(len(unique_keys), dtype=np.int32)
-            inverse = lut[keys]
-        else:
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            inverse = inverse.astype(np.int32)
+        unique_keys, inverse = _distinct(keys)
         del keys
         diff = points[unique_keys // span] - points[unique_keys % span]
         self.pair_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -291,7 +280,6 @@ class _LocalPlan:
         self.cross_inv = inverse[nq * k * k:].reshape(nq, k)
 
         self.neighbor_labels = train.labels[nb].astype(float)
-        self.k = k
         self._pool = pool
         self._values = np.empty(self.pair_dist.size)
         self._system_buffer = np.empty((nq, k, k))
@@ -356,11 +344,6 @@ class _LocalPlan:
         return np.einsum("nk,nk->n", cross, solved)
 
 
-def _check_k(k: int, limit: int, what: str) -> None:
-    if not 1 <= k <= limit:
-        raise ValueError(f"k must be in [1, {limit}] for {what}, got {k}")
-
-
 def _as_test_features(test_features, q: int) -> np.ndarray:
     feats = np.asarray(test_features, dtype=float)
     if feats.ndim == 1:
@@ -381,7 +364,6 @@ def classify(train: LabeledSet, test_features, params: ReducedParams,
     index, so the result does not depend on training-row order beyond
     that stated rule.
     """
-    _check_k(k, train.count, "classify")
     feats = _as_test_features(test_features, train.feature_dim)
     with _open_pool() as pool:
         plan = _LocalPlan(train, feats, k, exclude_self=False, pool=pool)
@@ -399,7 +381,6 @@ def _loo_score(plan: _LocalPlan, labels: np.ndarray, systems, cross,
 
 def loo_accuracy(train: LabeledSet, params: ReducedParams, k: int) -> float:
     """Fraction of training points recovered from their k nearest others."""
-    _check_k(k, train.count - 1, "leave-one-out")
     with _open_pool() as pool:
         plan = _LocalPlan(train, train.features, k, exclude_self=True,
                           pool=pool)
@@ -414,7 +395,6 @@ def grid_search(train: LabeledSet, grid: GridSpec,
     The returned TrialResult carries the best LOO accuracy, the candidate
     count, and the wall time of the whole search.
     """
-    _check_k(k, train.count - 1, "grid search")
     started = time.perf_counter()
     labels = train.labels
     best = -1.0

@@ -6,14 +6,15 @@ act on the output in nearly orthogonal directions, large gamma means some
 combination of them is locally unidentifiable. The (nu, rho) scan maps
 gamma over the smoothness/range plane for two outputs: the correlation
 curve seen from the prediction point and the kriging weight vector; the
-finite-difference thetas of a whole grid row are priced as one stack.
+finite-difference thetas of a whole grid row are priced as one stack, and
+the row's gammas come from one stacked eigenvalue call per output.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,12 +80,20 @@ class SensitivityMatrix:
     def normalized(self) -> "SensitivityMatrix":
         """Scale each column to unit Euclidean norm; all-zero columns are
         left in place and flagged."""
-        norms = np.linalg.norm(self.entries, axis=0)
-        zero = tuple(int(j) for j in np.nonzero(norms == 0.0)[0])
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return SensitivityMatrix(entries=self.entries / safe[None, :],
-                                 normalization="unit-column",
-                                 zero_columns=zero)
+        unit, zero = _unit_columns(self.entries)
+        return SensitivityMatrix(entries=unit, normalization="unit-column",
+                                 zero_columns=np.flatnonzero(zero))
+
+
+def _unit_columns(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each column of an (..., m, p) stack scaled to unit Euclidean norm,
+    and the (..., p) mask of all-zero columns, which stay zero. Stacked
+    entries must be in C order for the norms to sum in the same order as
+    one matrix's do."""
+    norms = np.linalg.norm(entries, axis=-2)
+    zero = norms == 0.0
+    with np.errstate(invalid="ignore"):  # inf / inf: _gammas reports it
+        return entries / np.where(zero, 1.0, norms)[..., None, :], zero
 
 
 @dataclass(frozen=True)
@@ -146,20 +155,41 @@ def local_sensitivities(f: Callable[[np.ndarray], np.ndarray], theta,
         normalization="raw")
 
 
+def _gammas(unit: np.ndarray, zero: np.ndarray
+            ) -> Tuple[np.ndarray, List[Optional[Exception]]]:
+    """gamma for every matrix of an (N, m, p) stack of unit-column
+    sensitivities, given its (N, p) mask of all-zero columns. A matrix
+    with a non-finite entry or a zero column gets NaN, and the exception
+    that says why in the returned list (None for the others)."""
+    finite = np.isfinite(unit).all(axis=(-2, -1))
+    good = finite & ~zero.any(axis=-1)
+    reasons: List[Optional[Exception]] = [None] * len(unit)
+    for i in np.flatnonzero(~good):
+        reasons[i] = (ValueError("entries must be finite") if not finite[i]
+                      else UndefinedCollinearityError(
+                          "all-zero sensitivity column(s) "
+                          f"{tuple(np.flatnonzero(zero[i]).tolist())}: "
+                          "collinearity is undefined"))
+    cells = unit[good]
+    smallest = linalg.sym_eigenvalues(
+        np.swapaxes(cells, -1, -2) @ cells)[..., -1]
+    floor = 1.0 / (GAMMA_CAP * GAMMA_CAP)
+    gammas = np.full(len(unit), np.nan)
+    gammas[good] = np.where(
+        smallest <= floor, GAMMA_CAP,
+        np.clip(1.0 / np.sqrt(np.maximum(smallest, floor)), 1.0, GAMMA_CAP))
+    return gammas, reasons
+
+
 def collinearity_index(s: SensitivityMatrix) -> float:
     """gamma = 1 / sqrt(smallest eigenvalue of S^T S), in [1, 1e12]."""
     if s.normalization != "unit-column":
         raise ValueError("collinearity_index needs unit-column normalization")
-    if s.zero_columns:
-        raise UndefinedCollinearityError(
-            f"all-zero sensitivity column(s) {s.zero_columns}: "
-            "collinearity is undefined")
-    gram = s.entries.T @ s.entries
-    eigenvalues = linalg.sym_eigenvalues(gram)
-    smallest = float(eigenvalues[-1])
-    if smallest <= 1.0 / (GAMMA_CAP * GAMMA_CAP):
-        return GAMMA_CAP
-    return float(np.clip(1.0 / np.sqrt(smallest), 1.0, GAMMA_CAP))
+    zero = np.isin(np.arange(s.cols), s.zero_columns)
+    gammas, reasons = _gammas(s.entries[None], zero[None])
+    if reasons[0] is not None:
+        raise reasons[0]
+    return float(gammas[0])
 
 
 def _scan_outputs(points: np.ndarray) -> np.ndarray:
@@ -173,8 +203,20 @@ def _scan_outputs(points: np.ndarray) -> np.ndarray:
     return np.hstack([curves, weights])
 
 
-def _gamma(entries: np.ndarray) -> float:
-    return collinearity_index(SensitivityMatrix(entries=entries).normalized())
+def _scan_gammas(thetas: np.ndarray) -> list:
+    """(gamma_correlation, gamma_weights, reason) for the scan cell at each
+    of the (N, 2) (nu, rho) thetas; both gammas are NaN where either is
+    undefined, and reason is then the first exception that says why."""
+    entries = _central_differences(_scan_outputs, thetas, _REL_STEP)
+    split = _SCAN_DISTANCES.size
+    (g_corr, corr_reasons), (g_wts, wts_reasons) = (
+        _gammas(*_unit_columns(np.ascontiguousarray(part)))
+        for part in (entries[:, :split], entries[:, split:]))
+    reasons = [a if a is not None else b
+               for a, b in zip(corr_reasons, wts_reasons)]
+    failed = np.array([r is not None for r in reasons], dtype=bool)
+    g_corr[failed] = g_wts[failed] = np.nan
+    return list(zip(g_corr, g_wts, reasons))
 
 
 def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
@@ -189,8 +231,9 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     evaluate get NaN gammas and band "failed"; failures are collected and
     reported as a warning instead of aborting the scan. Cell order is
     row-major in (nu index, rho index). Each nu row of the grid is one
-    stack of 4 * resolution systems; a row whose stack fails is priced
-    again cell by cell, so a failure stays with its own cell.
+    stack of 4 * resolution systems, and its gammas come from one
+    stacked eigenvalue call per output; a row where that raises is
+    priced again cell by cell, so a failure stays with its own cell.
     """
     if output_kind not in ("correlation_curve", "kriging_weights"):
         raise ValueError(f"unknown output_kind {output_kind!r}")
@@ -208,28 +251,23 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     for nu in nus:
         thetas = np.column_stack([np.full(resolution, nu), rhos])
         try:
-            row = _central_differences(_scan_outputs, thetas, _REL_STEP)
-        except Exception:  # noqa: BLE001 - attributed per cell below
-            row = [None] * resolution
-        for rho, entries in zip(rhos, row):
-            try:
-                if entries is None:
-                    entries = _central_differences(
-                        _scan_outputs, np.array([nu, rho]), _REL_STEP)
-                g_corr = _gamma(entries[:_SCAN_DISTANCES.size])
-                g_wts = _gamma(entries[_SCAN_DISTANCES.size:])
-            except Exception as exc:  # noqa: BLE001 - per-cell aggregation
-                failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {exc!r}")
-                cells.append(CollinearityCell(
-                    nu=float(nu), rho=float(rho),
-                    gamma_correlation=float("nan"),
-                    gamma_weights=float("nan"), band="failed"))
-                continue
+            row = _scan_gammas(thetas)
+        except Exception:  # noqa: BLE001 - priced again cell by cell
+            row = []
+            for theta in thetas:
+                try:
+                    row += _scan_gammas(theta[None])
+                except Exception as exc:  # noqa: BLE001 - per-cell aggregation
+                    row.append((np.nan, np.nan, exc))
+        for rho, (g_corr, g_wts, reason) in zip(rhos, row):
+            if reason is not None:
+                failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {reason!r}")
             chosen = (g_corr if output_kind == "correlation_curve"
                       else g_wts)
             cells.append(CollinearityCell(
-                nu=float(nu), rho=float(rho), gamma_correlation=g_corr,
-                gamma_weights=g_wts, band=band_of(chosen)))
+                nu=float(nu), rho=float(rho), gamma_correlation=float(g_corr),
+                gamma_weights=float(g_wts),
+                band="failed" if reason is not None else band_of(chosen)))
     if failures:
         warnings.warn(
             f"{len(failures)} scan cell(s) failed; first: {failures[0]}",

@@ -30,6 +30,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _HALF_INTEGER_TOL = 1e-12
 _TINY_ARG = 1e-10
+_LUT_KEYS = 4_000_000
 
 
 def _check_params(**fields) -> tuple:
@@ -195,6 +196,24 @@ def matern_covariance(d, params: MaternParams):
     return float(cov[0]) if scalar else cov
 
 
+def _distinct(values: np.ndarray) -> tuple:
+    """The sorted distinct entries of values and an int32 inverse of the
+    same shape, with values == unique[inverse]. Non-negative integer keys
+    below _LUT_KEYS go through a lookup table instead of a sort."""
+    values = np.asarray(values)
+    flat = values.ravel()
+    if (values.dtype.kind in "iu" and flat.size
+            and flat.min() >= 0 and flat.max() < _LUT_KEYS):
+        lut = np.zeros(int(flat.max()) + 1, dtype=np.int32)
+        lut[flat] = 1
+        unique = np.flatnonzero(lut)
+        lut[unique] = np.arange(unique.size, dtype=np.int32)
+        inverse = lut[flat]
+    else:
+        unique, inverse = np.unique(flat, return_inverse=True)
+    return unique, inverse.astype(np.int32, copy=False).reshape(values.shape)
+
+
 def kernel_matrix(a: LocationSet, b: LocationSet,
                   params: MaternParams) -> np.ndarray:
     """Covariance matrix with entries phi(||a_i - b_j||).
@@ -206,10 +225,8 @@ def kernel_matrix(a: LocationSet, b: LocationSet,
     if a.dimension != b.dimension:
         raise ValueError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    d = cdist(a.points, b.points)
-    uniq, inv = np.unique(d, return_inverse=True)
-    cov = matern_covariance(uniq, params)
-    return cov[inv].reshape(d.shape)
+    uniq, inv = _distinct(cdist(a.points, b.points))
+    return matern_covariance(uniq, params)[inv]
 
 
 def make_grid(dimension: int, count_per_axis: int,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import linalg
-from .kernel import (LocationSet, MaternParams, ReducedParams,
+from .kernel import (LocationSet, MaternParams, ReducedParams, _distinct,
                      kernel_matrix, matern_correlation)
 
 __all__ = [
@@ -75,13 +75,15 @@ class KrigingSystem:
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
         if rho.ndim > 1:
             raise ValueError("a parameter stack must be 1-D")
-        # every distance of the layout (training points plus the prediction
-        # point) is priced once per row; the diagonal distances are exactly 0
+        # every distinct distance value of the layout (training points plus
+        # the prediction point) is priced once per row: the 1-D study layout
+        # has 420 distances but 54 values, where point pairs would give 230;
+        # the diagonal distances are exactly 0
         n = train.count
-        dist = cdist(np.vstack([train.points, pt]), train.points)
-        uniq, inv = np.unique(dist, return_inverse=True)
+        uniq, inv = _distinct(
+            cdist(np.vstack([train.points, pt]), train.points))
         corr = matern_correlation(uniq, rho[:, None], nu[:, None])
-        layout = np.take(corr, inv.ravel(), axis=1).reshape(-1, n + 1, n)
+        layout = np.take(corr, inv, axis=1)
         systems = layout[:, :n]
         systems[:, np.arange(n), np.arange(n)] += omega2[:, None]
         factor = linalg.spd_factor_stack(systems)
@@ -155,11 +157,22 @@ def log_likelihood(train: LocationSet, y, params: MaternParams) -> float:
             - 0.5 * log_det - 0.5 * float(vec @ alpha))
 
 
+def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
+             exclude_self: bool = False) -> np.ndarray:
+    """(nq, k) indices of the k nearest rows of points to each query row,
+    nearest first, ties by lower index. With exclude_self, query i is
+    points row i and is left out of its own list."""
+    limit = len(points) - exclude_self
+    if not 1 <= k <= limit:
+        raise ValueError(f"k must be in [1, {limit}], got {k}")
+    order = np.argsort(cdist(queries, points), axis=1, kind="stable")
+    if exclude_self:
+        nq = order.shape[0]
+        order = order[order != np.arange(nq)[:, None]].reshape(nq, -1)
+    return order[:, :k].copy()
+
+
 def nearest_neighbors(train: LocationSet, pred, k: int) -> np.ndarray:
     """Indices of the k nearest training locations, ties by lower index."""
-    if not (1 <= k <= train.count):
-        raise ValueError(f"k must be in [1, {train.count}], got {k}")
     pt = _as_point(pred, train.dimension)
-    dists = np.linalg.norm(train.points - pt[None, :], axis=1)
-    order = np.argsort(dists, kind="stable")
-    return order[:k].copy()
+    return _nearest(train.points, pt[None, :], k)[0]

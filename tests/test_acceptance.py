@@ -13,6 +13,7 @@ DEFAULT_RANGES and the 4 x 4 lattice, is the paper's own is the open
 question, and waits on the paper's study tables.
 """
 
+import json
 import math
 import os
 import time
@@ -20,7 +21,6 @@ import time
 import numpy as np
 
 from krigesense.classifier import run_benchmark
-from krigesense.cli import main as cli_main
 from krigesense.identifiability import collinearity_scan
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
                                matern_correlation, matern_covariance)
@@ -353,7 +353,10 @@ def test_criterion_09_classifier_benchmark():
                    f"{100 * gap:.2f}pp (bar 2pp), {elapsed:.0f}s")
 
 
-def test_criterion_10_cli_reruns_byte_identical(tmp_path, monkeypatch):
+def test_criterion_10_cli_reruns_byte_identical(tmp_path, cli_child):
+    # each subcommand runs twice in a child process: once narrowed to one
+    # core, so the classifier's pool has one worker, and once at this
+    # process's full CPU mask
     jobs = (
         ("weights", ["weights", "--dim", "1", "--rho", "1.5", "--nu",
                      "1.0"], None),
@@ -364,19 +367,21 @@ def test_criterion_10_cli_reruns_byte_identical(tmp_path, monkeypatch):
         ("classify-bench", ["classify-bench", "--sizes", "16", "--iters",
                             "1", "--seed", "0", "--k", "3"], "wall_time_s"),
     )
+    full = len(os.sched_getaffinity(0))
     failures = []
     for name, flags, strip in jobs:
         outputs = {}
-        for label, threads in (("serial", None), ("threaded", "2")):
-            if threads is None:
-                monkeypatch.delenv("KRIGESENSE_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("KRIGESENSE_THREADS", threads)
+        for label, one_core in (("one-core", True), ("full-mask", False)):
             out = tmp_path / f"{name}-{label}.csv"
-            code = cli_main(flags + ["--out", str(out)])
+            code = cli_child(flags + ["--out", str(out)], one_core)
             if code != 0:
                 failures.append(f"{name} exit {code}")
                 continue
+            manifest = json.loads(out.with_suffix(".manifest.json")
+                                  .read_text())
+            if manifest["workers"] != (1 if one_core else full):
+                failures.append(f"{name} {label} ran a pool of "
+                                f"{manifest['workers']}")
             if strip is None:
                 outputs[label] = out.read_bytes()
             else:
@@ -385,9 +390,10 @@ def test_criterion_10_cli_reruns_byte_identical(tmp_path, monkeypatch):
                 outputs[label] = [
                     ",".join(v for i, v in enumerate(line.split(","))
                              if i != drop) for line in text]
-        if len(outputs) == 2 and outputs["serial"] != outputs["threaded"]:
-            failures.append(f"{name} differs across thread levels")
-    monkeypatch.delenv("KRIGESENSE_THREADS", raising=False)
+        if len(outputs) == 2 and outputs["one-core"] != outputs["full-mask"]:
+            failures.append(f"{name} differs between pool sizes 1 and {full}")
+    pools = (f"pool sizes 1 and {full}" if full > 1 else
+             "a 1-core mask, so both runs have the same pool size 1")
     ok = not failures
-    _report(10, ok, "all four subcommands byte-identical across reruns and "
-                    "thread levels" if ok else "; ".join(failures))
+    _report(10, ok, f"all four subcommands byte-identical across reruns at "
+                    f"{pools}" if ok else "; ".join(failures))

@@ -188,15 +188,14 @@ def test_sobol_small_budget_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sobol_output_independent_of_thread_level(tmp_path, monkeypatch):
+def test_sobol_output_independent_of_thread_level(tmp_path, cli_child):
+    # one run in a child narrowed to one core, one at the full CPU mask
     flags = ["sobol", "--n", "256", "--seed", "3"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    monkeypatch.delenv("KRIGESENSE_THREADS", raising=False)
-    assert main(flags + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("KRIGESENSE_THREADS", "2")
-    assert main(flags + ["--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+    one_core = tmp_path / "one-core.csv"
+    full_mask = tmp_path / "full-mask.csv"
+    assert cli_child(flags + ["--out", str(one_core)], True) == 0
+    assert cli_child(flags + ["--out", str(full_mask)], False) == 0
+    assert one_core.read_bytes() == full_mask.read_bytes()
 
 
 # ------------------------------------------------------- classify-bench

@@ -2,10 +2,13 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from krigesense import identifiability
 from krigesense.identifiability import (GAMMA_CAP, CollinearityCell,
                                         SensitivityMatrix,
                                         UndefinedCollinearityError, band_of,
@@ -250,6 +253,78 @@ def test_scan_row_that_cannot_be_stacked_fails_cell_by_cell():
     assert all(1.0 <= c.gamma_weights <= GAMMA_CAP for c in cells[:2])
     assert len(caught) == 1
     assert "2 scan cell(s) failed" in str(caught[0].message)
+
+def _index_per_cell(entries):
+    try:
+        return collinearity_index(
+            SensitivityMatrix(entries=entries).normalized()), None
+    except ValueError as exc:
+        return math.nan, exc
+
+
+_CELL_KINDS = ("generic", "collinear", "zero column", "non-finite")
+
+
+@given(res=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(_CELL_KINDS), min_size=32,
+                      max_size=32))
+def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
+    # the scan's rows of raw sensitivities are replaced by seeded ones in
+    # the swapped-axes layout _central_differences returns; every cell's
+    # gammas must be the public per-matrix index, bit for bit, and every
+    # failed cell must carry the exception the per-matrix route raises
+    rng = np.random.default_rng(seed)
+    m = identifiability._SCAN_DISTANCES.size
+    raw = (rng.standard_normal((res, res, 2, 2 * m))
+           * 10.0 ** rng.integers(-6, 4, size=(res, res, 2, 1)))
+    # one kind each for the correlation and the weight part of every cell
+    parts = [(cell, part) for cell in raw.reshape(-1, 2, 2 * m)
+             for part in (slice(0, m), slice(m, 2 * m))]
+    for (cell, part), kind in zip(parts, kinds):
+        column = rng.integers(2)
+        if kind == "collinear":
+            cell[1 - column, part] = (rng.uniform(-3, 3) * cell[column, part]
+                                      + 1e-9 * rng.standard_normal(m))
+        elif kind == "zero column":
+            cell[column, part] = 0.0
+        elif kind == "non-finite":
+            cell[column, part.start + rng.integers(m)] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+    nus = np.linspace(0.5, 1.0, res)
+
+    def rows(f, thetas, rel_step):
+        row = int(np.flatnonzero(nus == thetas[0, 0])[0])
+        return np.swapaxes(raw[row], -1, -2)
+
+    with mock.patch.object(identifiability, "_central_differences", rows), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = collinearity_scan(grid_nu=(0.5, 1.0), grid_rho=(0.5, 1.0),
+                                  resolution=res)
+        reasons = [cell[2] for nu in nus for cell in
+                   identifiability._scan_gammas(np.full((res, 2), nu))]
+    entries = np.swapaxes(raw, -1, -2).reshape(-1, 2 * m, 2)
+    failures = []
+    for cell, cell_entries, got in zip(cells, entries, reasons):
+        g_corr, corr_exc = _index_per_cell(cell_entries[:m])
+        g_wts, wts_exc = _index_per_cell(cell_entries[m:])
+        reason = corr_exc if corr_exc is not None else wts_exc
+        assert repr(got) == repr(reason)
+        if reason is not None:
+            failures.append(reason)
+            assert cell.band == "failed"
+            assert math.isnan(cell.gamma_correlation)
+            assert math.isnan(cell.gamma_weights)
+        else:
+            assert cell.gamma_correlation == g_corr
+            assert cell.gamma_weights == g_wts
+            assert cell.band == band_of(g_corr)
+    assert len(caught) == (1 if failures else 0)
+    if failures:
+        message = str(caught[0].message)
+        assert f"{len(failures)} scan cell(s) failed" in message
+        assert repr(failures[0]) in message
+
 
 def test_scan_validation():
     with pytest.raises(ValueError):

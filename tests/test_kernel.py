@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import kve
 
 from krigesense import linalg
-from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
-                               kernel_matrix, make_grid, matern_correlation,
+from krigesense.kernel import (_LUT_KEYS, LocationSet, MaternParams,
+                               ReducedParams, _distinct, kernel_matrix,
+                               make_grid, matern_correlation,
                                matern_covariance)
 from oracles import bessel_k_quadrature, charpoly_eigenvalues
 
@@ -203,6 +206,29 @@ def test_kernel_matrix_dimension_mismatch():
     p = MaternParams(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         kernel_matrix(a, b, p)
+
+
+_SHAPES = array_shapes(min_dims=1, max_dims=2, max_side=40)
+
+
+@given(st.one_of(
+    # distances with forced repeats
+    arrays(np.float64, _SHAPES, elements=st.sampled_from(
+        [0.0, 0.25, 0.5, 2.0 ** 0.5]) | st.floats(0.0, 10.0)),
+    # small keys (lookup table), keys on both sides of its limit, and
+    # negative keys (sort)
+    arrays(np.int64, _SHAPES, elements=st.integers(0, 60)),
+    arrays(np.int64, _SHAPES, elements=st.sampled_from(
+        [0, _LUT_KEYS - 1, _LUT_KEYS, 3 * _LUT_KEYS])
+        | st.integers(_LUT_KEYS - 40, _LUT_KEYS + 40)),
+    arrays(np.int64, _SHAPES, elements=st.integers(-5, 5)),
+))
+def test_distinct_round_trips_exactly(values):
+    unique, inverse = _distinct(values)
+    assert inverse.dtype == np.int32 and inverse.shape == values.shape
+    assert np.array_equal(unique[inverse], values)
+    assert np.all(np.diff(unique) > 0)
+    assert np.array_equal(unique, np.unique(values))
 
 
 def test_make_grid_cases():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
                                make_grid, matern_correlation)
@@ -245,6 +247,28 @@ def test_nearest_neighbors_matches_exhaustive_oracle():
     got = nearest_neighbors(train, query, 50)
     want = exhaustive_nearest(pts, query, 50)
     assert got.tolist() == want
+
+
+@given(st.data())
+def test_neighbor_rule_matches_brute_force_with_ties(data):
+    # coordinates on a half-unit lattice, so many distances tie exactly
+    q = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(2, 30))
+    coordinate = st.integers(0, 8).map(lambda v: v / 2.0)
+    points = data.draw(arrays(np.float64, (m, q), elements=coordinate))
+    exclude_self = data.draw(st.booleans())
+    queries = points if exclude_self else data.draw(arrays(
+        np.float64, (data.draw(st.integers(1, 8)), q), elements=coordinate))
+    k = data.draw(st.integers(1, m - 1 if exclude_self else m))
+    got = kriging._nearest(points, queries, k, exclude_self)
+    assert got.shape == (len(queries), k)
+    for i, query in enumerate(queries):
+        index = np.arange(m)
+        dist = np.sqrt(np.sum((points - query) ** 2, axis=1))
+        if exclude_self:
+            index, dist = index[index != i], dist[index != i]
+        want = index[np.lexsort((index, dist))][:k]
+        assert got[i].tolist() == want.tolist()
 
 
 def test_nearest_neighbors_k_out_of_range():

@@ -43,6 +43,8 @@ def test_factor_rejects_indefinite():
 def test_factor_rejects_asymmetric():
     with pytest.raises(ValueError):
         linalg.spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="one square matrix"):
+        linalg.spd_factor(np.stack([np.eye(2), np.eye(2)]))
 
 
 def test_solve_identity_and_hand_case():
@@ -132,3 +134,20 @@ def test_eigenvalue_trace_and_determinant():
 def test_eigenvalues_size_cap():
     with pytest.raises(ValueError):
         linalg.sym_eigenvalues(np.eye(9))
+
+
+def test_eigenvalues_of_a_stack_match_per_matrix_calls():
+    rng = np.random.default_rng(41)
+    stack = np.stack([random_spd(3, rng) for _ in range(6)])
+    got = linalg.sym_eigenvalues(stack)
+    assert got.shape == (6, 3)
+    for eig, matrix in zip(got, stack):
+        assert np.array_equal(eig, linalg.sym_eigenvalues(matrix))
+    # the symmetry tolerance scales with each matrix's own entries, so a
+    # large neighbor in the stack does not hide a small one's asymmetry
+    lopsided = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-9],
+                                                    [0.0, 1.0]])])
+    with pytest.raises(ValueError):
+        linalg.sym_eigenvalues(lopsided)
+    with pytest.raises(ValueError):
+        linalg.sym_eigenvalues(np.zeros((2, 9, 9)))
