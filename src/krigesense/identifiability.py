@@ -5,9 +5,11 @@ column-normalized sensitivity matrix; gamma near 1 means the parameters
 act on the output in nearly orthogonal directions, large gamma means some
 combination of them is locally unidentifiable. The (nu, rho) scan maps
 gamma over the smoothness/range plane for two outputs: the correlation
-curve seen from the prediction point and the kriging weight vector; the
-finite-difference thetas of a whole grid row are priced as one stack, and
-the row's gammas come from one stacked eigenvalue call per output.
+curve seen from the prediction point and the kriging weight vector. The
+finite-difference thetas of a whole grid row are priced as one stack of
+kriging systems, whose prediction rows are the correlation curves and
+whose solves are the weights, and the row's gammas come from one stacked
+eigenvalue call per output.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .kernel import ReducedParams, make_grid, matern_correlation
-from .kriging import kriging_weights
+from .kernel import ReducedParams, make_grid
+from .kriging import KrigingSystem
 
 __all__ = [
     "UndefinedCollinearityError",
@@ -40,7 +42,6 @@ _REL_STEP = 1e-5
 _SCAN_OMEGA2 = 0.001
 _SCAN_GRID = make_grid(1, 21, exclude=0.5)
 _SCAN_POINT = 0.5
-_SCAN_DISTANCES = np.abs(_SCAN_GRID.points[:, 0] - _SCAN_POINT)
 
 
 class UndefinedCollinearityError(ValueError):
@@ -194,13 +195,14 @@ def collinearity_index(s: SensitivityMatrix) -> float:
 
 def _scan_outputs(points: np.ndarray) -> np.ndarray:
     """Correlation curve and kriging weights side by side for (m, 2)
-    points of (nu, rho); each output prices all m points as one stack."""
+    points of (nu, rho), from one stack of m kriging systems: the curve
+    seen from the prediction point is each system's cross row."""
     nu, rho = points.T
-    curves = matern_correlation(_SCAN_DISTANCES, rho[:, None], nu[:, None])
-    weights = kriging_weights(
+    system = KrigingSystem.build(
         _SCAN_GRID, _SCAN_POINT,
-        ReducedParams(rho=rho, nu=nu, omega2=_SCAN_OMEGA2)).weights
-    return np.hstack([curves, weights])
+        ReducedParams(rho=rho, nu=nu, omega2=_SCAN_OMEGA2))
+    weights = linalg.spd_solve(system.factor, system.cross)
+    return np.hstack([system.cross, weights])
 
 
 def _scan_gammas(thetas: np.ndarray) -> list:
@@ -208,7 +210,7 @@ def _scan_gammas(thetas: np.ndarray) -> list:
     of the (N, 2) (nu, rho) thetas; both gammas are NaN where either is
     undefined, and reason is then the first exception that says why."""
     entries = _central_differences(_scan_outputs, thetas, _REL_STEP)
-    split = _SCAN_DISTANCES.size
+    split = _SCAN_GRID.count
     (g_corr, corr_reasons), (g_wts, wts_reasons) = (
         _gammas(*_unit_columns(np.ascontiguousarray(part)))
         for part in (entries[:, :split], entries[:, split:]))

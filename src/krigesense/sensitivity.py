@@ -48,6 +48,7 @@ DEFAULT_RANGES: Tuple[Tuple[str, float, float], ...] = (
 FIXED_OMEGA2_CHOICES = (0.0, 0.001, 0.01, 0.1)
 
 _BOOTSTRAP_REPLICATES = 200
+_BOOTSTRAP_BLOCK = 25
 
 STUDY_GRID_1D = make_grid(1, 21, exclude=0.5)
 STUDY_POINT_1D = np.array([0.5])
@@ -138,7 +139,11 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class SobolResult:
-    """Total-effect indices and their percent shares, per input."""
+    """Total-effect indices and their percent shares, per input.
+
+    replicates_kept counts the bootstrap replicates behind the halfwidths:
+    a replicate whose resampled variance or index sum is not positive is
+    dropped."""
 
     inputs: Tuple[str, ...]
     total_index: np.ndarray
@@ -147,6 +152,7 @@ class SobolResult:
     flagged: bool
     base_count: int
     evaluations: int
+    replicates_kept: int
 
     def share_of(self, name: str) -> float:
         return float(self.percent_share[self.inputs.index(name)])
@@ -239,7 +245,9 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     hybrid A_B^i and for the Latin hypercube sample. Indices use
     T_i = sum((f(A) - f(A_B^i))^2) / (2 N varhat), with varhat taken from
     an independent Latin hypercube sample; 200 bootstrap resamples give a
-    95% halfwidth on the percent-share scale. Cost is exactly
+    95% halfwidth on the percent-share scale (replicates with a
+    non-positive resampled variance or index sum are dropped and counted
+    in replicates_kept). Cost is exactly
     base_count * (p + 2) response evaluations, in p + 2 calls of f.
     """
     if base_count < 256:
@@ -295,22 +303,25 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
         raise UndefinedSharesError("total-effect indices sum to zero")
     shares = 100.0 * totals / total_sum
 
+    # replicates are priced a block at a time; in C order each replicate
+    # draws its column resample and then its variance resample, the order
+    # of one integers(0, n, n) call per resample, so the stream and the
+    # halfwidths do not depend on the block size
     g_boot = rng.stream(seed, 4)
     replicate_shares = []
-    for _ in range(_BOOTSTRAP_REPLICATES):
-        idx = g_boot.integers(0, n, n)
-        idx_var = g_boot.integers(0, n, n)
-        var_b = float(np.var(f_var[idx_var], ddof=1))
-        if var_b <= 0.0:
-            continue
-        totals_b = squared[:, idx].mean(axis=1) / (2.0 * var_b)
-        sum_b = float(totals_b.sum())
-        if sum_b <= 0.0:
-            continue
-        replicate_shares.append(100.0 * totals_b / sum_b)
-    if not replicate_shares:
-        raise UndefinedSharesError("all bootstrap replicates degenerate")
+    for start in range(0, _BOOTSTRAP_REPLICATES, _BOOTSTRAP_BLOCK):
+        count = min(_BOOTSTRAP_BLOCK, _BOOTSTRAP_REPLICATES - start)
+        draws = g_boot.integers(0, n, (count, 2, n))
+        var_b = np.var(f_var[draws[:, 1]], axis=1, ddof=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a zero resampled variance gives inf or nan here; kept drops it
+            totals_b = squared[:, draws[:, 0]].mean(axis=2) / (2.0 * var_b)
+            sum_b = totals_b.sum(axis=0)
+        kept = (var_b > 0.0) & (sum_b > 0.0)
+        replicate_shares.append((100.0 * totals_b[:, kept] / sum_b[kept]).T)
     stacked = np.vstack(replicate_shares)
+    if not len(stacked):
+        raise UndefinedSharesError("all bootstrap replicates degenerate")
     lo_q, hi_q = np.percentile(stacked, [2.5, 97.5], axis=0)
     halfwidth = 0.5 * (hi_q - lo_q)
 
@@ -322,6 +333,7 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
         flagged=bool(np.any(totals < -0.05)),
         base_count=n,
         evaluations=n * (p + 2),
+        replicates_kept=len(stacked),
     )
 
 

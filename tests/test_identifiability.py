@@ -1,6 +1,8 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
+import contextlib
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -274,7 +276,7 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
     # gammas must be the public per-matrix index, bit for bit, and every
     # failed cell must carry the exception the per-matrix route raises
     rng = np.random.default_rng(seed)
-    m = identifiability._SCAN_DISTANCES.size
+    m = identifiability._SCAN_GRID.count
     raw = (rng.standard_normal((res, res, 2, 2 * m))
            * 10.0 ** rng.integers(-6, 4, size=(res, res, 2, 1)))
     # one kind each for the correlation and the weight part of every cell
@@ -324,6 +326,44 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
         message = str(caught[0].message)
         assert f"{len(failures)} scan cell(s) failed" in message
         assert repr(failures[0]) in message
+
+
+def test_scan_prices_one_correlation_fill_per_nu_row():
+    # every binding of matern_correlation in the package is counted, so a
+    # second pricing of the curves would show wherever it came from
+    calls = []
+    real = matern_correlation
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("krigesense")
+                    and getattr(module, "matern_correlation", None) is real):
+                stack.enter_context(mock.patch.object(
+                    module, "matern_correlation", counted))
+        cells = collinearity_scan(resolution=3)
+    assert len(cells) == 9
+    assert len(calls) == 3
+
+
+def test_scan_curve_equals_the_separate_correlation_call():
+    # the curve the scan reads from its kriging systems' cross rows is the
+    # one a separate matern_correlation call on the distances to the
+    # prediction point gives, bit for bit, closed forms included
+    rng = np.random.default_rng(5)
+    nu = np.concatenate([[0.5, 1.5, 2.5, 0.01, 2.5, 1.0],
+                         rng.uniform(0.01, 2.5, 200)])
+    rho = np.concatenate([[1.0, 0.01, 5.0, 1e-3, 1e-4, 1e-5],
+                          rng.uniform(0.01, 5.0, 200)])
+    grid = identifiability._SCAN_GRID
+    outputs = identifiability._scan_outputs(np.column_stack([nu, rho]))
+    distances = np.abs(grid.points[:, 0] - identifiability._SCAN_POINT)
+    assert np.array_equal(outputs[:, :grid.count],
+                          matern_correlation(distances, rho[:, None],
+                                             nu[:, None]))
 
 
 def test_scan_validation():

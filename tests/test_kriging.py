@@ -448,3 +448,44 @@ def test_scalar_parameters_keep_single_system_shapes():
     with pytest.raises(ValueError):
         KrigingSystem.build(grid, [0.5, 0.5],
                             ReducedParams(np.ones((2, 2)), 1.5, 0.01))
+
+
+# ------------------------------------------------------------- properties
+
+
+def _lattice_layout(seed, count, dim):
+    """count distinct training points and a prediction point apart from
+    them, on the 0.05 lattice of [0, 1]^dim."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(21 ** dim, size=count + 1, replace=False)
+    pts = np.stack(np.unravel_index(cells, (21,) * dim), axis=1) * 0.05
+    return pts[:count], pts[count], rng.permutation(count)
+
+
+_STUDY_BOX = dict(rho=st.floats(0.01, 5.0), nu=st.floats(0.01, 2.5),
+                  omega2=st.floats(0.001, 0.1))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 20),
+       dim=st.sampled_from([1, 2]), **_STUDY_BOX)
+def test_weights_follow_the_training_points_when_reordered(
+        seed, count, dim, rho, nu, omega2):
+    pts, pred, order = _lattice_layout(seed, count, dim)
+    params = ReducedParams(rho, nu, omega2)
+    w = kriging_weights(LocationSet(pts), pred, params).weights
+    reordered = kriging_weights(LocationSet(pts[order]), pred,
+                                params).weights
+    assert np.max(np.abs(reordered - w[order])) < 1e-9
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 19),
+       dim=st.sampled_from([1, 2]), sigma2=st.floats(0.1, 5.0),
+       **_STUDY_BOX)
+def test_variance_within_prior_and_not_raised_by_another_point(
+        seed, count, dim, sigma2, rho, nu, omega2):
+    pts, pred, _ = _lattice_layout(seed, count + 1, dim)
+    params = MaternParams(sigma2, rho, nu, omega2 * sigma2)
+    fewer = kriging_variance(LocationSet(pts[:-1]), pred, params)
+    more = kriging_variance(LocationSet(pts), pred, params)
+    assert 0.0 <= more and 0.0 <= fewer <= sigma2
+    assert more <= fewer + 1e-9 * sigma2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from krigesense import linalg
 from oracles import charpoly_eigenvalues, gauss_jordan_inverse
@@ -99,6 +100,55 @@ def test_solve_shape_mismatch():
     f = linalg.spd_factor(np.eye(3))
     with pytest.raises(ValueError):
         linalg.spd_solve(f, np.zeros(4))
+
+
+@pytest.mark.parametrize("stack, rhs_shape, want", [
+    # one factor takes (n,) only; a stack of 5 takes (5, n) only
+    (False, (1, 3), "(3,)"),
+    (False, (3, 1), "(3,)"),
+    (True, (3,), "(5, 3)"),
+    (True, (1, 3), "(5, 3)"),
+    (True, (4, 3), "(5, 3)"),
+    (True, (5, 3, 1), "(5, 3)"),
+])
+def test_solve_rejects_rhs_of_the_wrong_shape(stack, rhs_shape, want):
+    # a (3,) or (1, 3) rhs would otherwise broadcast over the 5 systems
+    f = (linalg.spd_factor_stack(np.stack([np.eye(3)] * 5)) if stack
+         else linalg.spd_factor(np.eye(3)))
+    with pytest.raises(ValueError) as caught:
+        linalg.spd_solve(f, np.ones(rhs_shape))
+    assert str(rhs_shape) in str(caught.value)
+    assert want in str(caught.value)
+
+
+def _spd_stack(seed, count, n):
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(0.5, 3.0, (count, 1, 1))
+    a = rng.standard_normal((count, n, n))
+    return (a @ np.swapaxes(a, -1, -2) + spread * np.eye(n),
+            rng.standard_normal((count, n)))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 64),
+       n=st.integers(1, 24))
+def test_stacked_solve_equals_each_system_alone(seed, count, n):
+    stack, rhs = _spd_stack(seed, count, n)
+    f = linalg.spd_factor_stack(stack)
+    x = linalg.spd_solve(f, rhs)
+    assert x.shape == (count, n)
+    for i in range(count):
+        alone = linalg.SpdFactor(n, f.lower[i], 0.0)
+        assert np.array_equal(x[i], linalg.spd_solve(alone, rhs[i]))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 8),
+       n=st.integers(1, 24))
+def test_stacked_solve_matches_gauss_jordan_inverse(seed, count, n):
+    stack, rhs = _spd_stack(seed, count, n)
+    x = linalg.spd_solve(linalg.spd_factor_stack(stack), rhs)
+    for i in range(count):
+        assert np.allclose(x[i], gauss_jordan_inverse(stack[i]) @ rhs[i],
+                           rtol=1e-10)
 
 
 def test_eigenvalues_hand_cases():

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krigesense import rng
 from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
 from krigesense.sensitivity import (FIXED_OMEGA2_CHOICES, DEFAULT_RANGES,
                                     ParamBox, SobolResult, StudyConfig,
@@ -263,6 +264,69 @@ def test_sobol_validation():
     with pytest.raises(ValueError):
         sobol_total(lambda rows: rows[:, 0], box, base_count=256, seed=0,
                     location_count=0)
+
+
+def _loop_bootstrap(squared, f_var, seed):
+    """The per-replicate bootstrap loop that sobol_total ran before it
+    priced its replicates in blocks, kept as the reference. Returns the
+    halfwidths, the kept count and the two drop counts."""
+    n = squared.shape[1]
+    g_boot = rng.stream(seed, 4)
+    replicate_shares = []
+    zero_variance = zero_sum = 0
+    for _ in range(200):
+        idx = g_boot.integers(0, n, n)
+        idx_var = g_boot.integers(0, n, n)
+        var_b = float(np.var(f_var[idx_var], ddof=1))
+        if var_b <= 0.0:
+            zero_variance += 1
+            continue
+        totals_b = squared[:, idx].mean(axis=1) / (2.0 * var_b)
+        sum_b = float(totals_b.sum())
+        if sum_b <= 0.0:
+            zero_sum += 1
+            continue
+        replicate_shares.append(100.0 * totals_b / sum_b)
+    lo_q, hi_q = np.percentile(np.vstack(replicate_shares), [2.5, 97.5],
+                               axis=0)
+    return (0.5 * (hi_q - lo_q), len(replicate_shares), zero_variance,
+            zero_sum)
+
+
+@pytest.mark.parametrize("response, seed, location_count, drops", [
+    (lambda rows: np.sin(rows[:, 0]) + rows[:, 1] ** 2, 3, None, False),
+    (lambda rows: rows[:, 0] * rows[:, 1] + rows[:, 2] / 7.0, 4, 7, False),
+    # nonzero on the top 1/256 of a only: the variance sample has one
+    # nonzero row and the pick-freeze differences have two or three, so
+    # resamples that miss them are dropped for either reason
+    (lambda rows: (rows[:, 0] > 1.0 - 1.0 / 256.0) + 0.0 * rows[:, 1],
+     3, None, True),
+    (lambda rows: (rows[:, 0] > 1.0 - 1.0 / 256.0) + 0.0 * rows[:, 1],
+     7, None, True),
+], ids=["smooth", "location", "sparse-seed3", "sparse-seed7"])
+def test_bootstrap_equals_the_per_replicate_loop(response, seed,
+                                                 location_count, drops):
+    box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
+    calls = []
+
+    def f(rows):
+        calls.append(np.asarray(response(rows), dtype=float))
+        return calls[-1]
+
+    res = sobol_total(f, box, base_count=256, seed=seed,
+                      location_count=location_count)
+    # calls: A, each A_B^i in input order, then the variance sample
+    squared = np.empty((len(calls) - 2, 256))
+    for i, f_h in enumerate(calls[1:-1]):
+        squared[i] = (calls[0] - f_h) ** 2
+    totals = squared.mean(axis=1) / (2.0 * float(np.var(calls[-1], ddof=1)))
+    assert np.array_equal(res.percent_share, 100.0 * totals / totals.sum())
+    halfwidth, kept, zero_variance, zero_sum = _loop_bootstrap(
+        squared, calls[-1], seed)
+    assert np.array_equal(res.bootstrap_halfwidth, halfwidth)
+    assert res.replicates_kept == kept
+    assert (zero_variance > 0 and zero_sum > 0) == drops
+    assert kept == 200 - zero_variance - zero_sum
 
 
 # ------------------------------------------------------------ run_study
