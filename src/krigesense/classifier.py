@@ -10,12 +10,14 @@ The search engine batches all per-point local systems: neighbor pairs and
 query-neighbor pairs are deduplicated into one distance table per
 training set, each (nu, rho) combination prices that table once and
 shares it across the omega2 candidates, and the stacked systems go
-through one solve per candidate. The fill, the gather into the stack and
-the solve run in blocks of a fixed size that never depends on the worker
-count, so every output is bitwise the same on any machine and at any pool
-size. Each grid_search, classify or loo_accuracy call opens its own
-thread pool, sized to the cores in the process's CPU affinity mask, and
-shuts it down before returning, so no thread outlives the call.
+through one LU solve per candidate. Below a roundoff-scale nugget each
+system first gets the jitter that linalg.spd_factor's ladder gives it.
+The fill, the gather into the stack and the solve run in blocks of a
+fixed size that never depends on the worker count, so every output is
+bitwise the same on any machine and at any pool size. Each grid_search,
+classify or loo_accuracy call opens its own thread pool, sized to the
+cores in the process's CPU affinity mask, and shuts it down before
+returning, so no thread outlives the call.
 Candidates are scored one after another.
 """
 
@@ -234,12 +236,14 @@ class _LocalPlan:
     distinct pairs' distances, never all of them and a sort.
 
     Everything that does not depend on (nu, rho, omega2) happens here
-    once. Scoring a candidate is one Matern fill over the distance table,
-    one gather into the (nq, k, k) systems and (nq, k) cross correlations,
-    and one solve of the stack. Each of the three runs on `pool`, which
-    the caller keeps open for one whole search, in fixed blocks
-    (_VALUES_PER_CHUNK distances or _SYSTEMS_PER_CHUNK systems), so the
-    outputs are bitwise the same for any worker count.
+    once. correlation(rho, nu) is one Matern fill over the distance table
+    and one gather into the (nq, k, k) `systems` and (nq, k) `cross`
+    buffers; latent_means(omega2) then solves that stack, so every omega2
+    candidate shares one fill. The fill, the gather and the solve run on
+    `pool`, which the caller keeps open for one whole search, in fixed
+    blocks (_VALUES_PER_CHUNK distances or _SYSTEMS_PER_CHUNK systems), so
+    the outputs are bitwise the same for any worker count. A nugget below
+    _PD_PROBE_BELOW first takes each system's jitter from linalg's ladder.
     """
 
     def __init__(self, train: LabeledSet, query_features: np.ndarray,
@@ -282,14 +286,13 @@ class _LocalPlan:
         self.neighbor_labels = train.labels[nb].astype(float)
         self._pool = pool
         self._values = np.empty(self.pair_dist.size)
-        self._system_buffer = np.empty((nq, k, k))
-        self._cross_buffer = np.empty((nq, k))
+        self.systems = np.empty((nq, k, k))
+        self.cross = np.empty((nq, k))
         self._solved = np.empty((nq, k))
         self._diag = np.arange(k)
 
-    def correlation(self, rho: float, nu: float
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fill the shared buffers with the correlation for (rho, nu)."""
+    def correlation(self, rho: float, nu: float) -> None:
+        """Fill systems and cross with the correlation for (rho, nu)."""
         values = self._values
 
         def fill(start: int, stop: int) -> None:
@@ -298,50 +301,43 @@ class _LocalPlan:
 
         def gather(start: int, stop: int) -> None:
             np.take(values, self.pair_inv[start:stop],
-                    out=self._system_buffer[start:stop])
+                    out=self.systems[start:stop])
             np.take(values, self.cross_inv[start:stop],
-                    out=self._cross_buffer[start:stop])
+                    out=self.cross[start:stop])
 
         _in_chunks(self._pool, fill, values.size, _VALUES_PER_CHUNK)
-        _in_chunks(self._pool, gather, len(self._cross_buffer),
-                   _SYSTEMS_PER_CHUNK)
-        return self._system_buffer, self._cross_buffer
+        _in_chunks(self._pool, gather, len(self.cross), _SYSTEMS_PER_CHUNK)
 
-    def latent_means(self, systems: np.ndarray, cross: np.ndarray,
-                     omega2: float) -> np.ndarray:
-        """Solve every local system at this omega2 and return w . y.
+    def latent_means(self, omega2: float) -> np.ndarray:
+        """Solve every local system of the last correlation at this omega2
+        and return w . y.
 
         The correlation diagonal is exactly 1, so the system diagonal is
-        rewritten to 1 + omega2 in place for each candidate. The stacked
-        matrices are positive definite by construction once omega2
-        clears roundoff scale; below that a Cholesky probe of the whole
-        stack walks the jitter ladder first, and every system gets the
-        first rung at which the whole stack factors.
+        rewritten to 1 + omega2 in place for each candidate. The systems
+        are positive definite by construction once omega2 clears roundoff
+        scale; below _PD_PROBE_BELOW, linalg.spd_factor_stack probes the
+        stack and each system's diagonal gets the jitter that linalg's
+        ladder gives that system alone.
         """
-        base = 1.0 + omega2
-        probe = omega2 < _PD_PROBE_BELOW
-        if probe:
-            for scale in linalg.JITTER_LADDER:
-                systems[:, self._diag, self._diag] = base + scale * base
-                try:
-                    np.linalg.cholesky(systems)
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            else:
-                raise linalg.NotPositiveDefiniteError(
-                    "local kriging systems not positive definite")
+        systems, diag = self.systems, self._diag
+        systems[:, diag, diag] = 1.0 + omega2
+        if omega2 < _PD_PROBE_BELOW:
+            jitter = linalg.spd_factor_stack(systems).jitter_used
+            systems[:, diag, diag] += jitter[:, None]
         solved = self._solved
 
         def solve(start: int, stop: int) -> None:
-            block = systems[start:stop]
-            if not probe:
-                block[:, self._diag, self._diag] = base
             solved[start:stop] = np.linalg.solve(
-                block, self.neighbor_labels[start:stop, :, None])[:, :, 0]
+                systems[start:stop],
+                self.neighbor_labels[start:stop, :, None])[:, :, 0]
 
         _in_chunks(self._pool, solve, len(solved), _SYSTEMS_PER_CHUNK)
-        return np.einsum("nk,nk->n", cross, solved)
+        return np.einsum("nk,nk->n", self.cross, solved)
+
+
+def _signs(latent: np.ndarray) -> np.ndarray:
+    """+-1 labels from latent means; an exact zero maps to +1."""
+    return np.where(latent >= 0.0, 1, -1).astype(np.int64)
 
 
 def _as_test_features(test_features, q: int) -> np.ndarray:
@@ -367,16 +363,8 @@ def classify(train: LabeledSet, test_features, params: ReducedParams,
     feats = _as_test_features(test_features, train.feature_dim)
     with _open_pool() as pool:
         plan = _LocalPlan(train, feats, k, exclude_self=False, pool=pool)
-        systems, cross = plan.correlation(params.rho, params.nu)
-        latent = plan.latent_means(systems, cross, params.omega2)
-    return np.where(latent >= 0.0, 1, -1).astype(np.int64)
-
-
-def _loo_score(plan: _LocalPlan, labels: np.ndarray, systems, cross,
-               omega2: float) -> float:
-    latent = plan.latent_means(systems, cross, omega2)
-    predicted = np.where(latent >= 0.0, 1, -1)
-    return float(np.mean(predicted == labels))
+        plan.correlation(params.rho, params.nu)
+        return _signs(plan.latent_means(params.omega2))
 
 
 def loo_accuracy(train: LabeledSet, params: ReducedParams, k: int) -> float:
@@ -384,8 +372,9 @@ def loo_accuracy(train: LabeledSet, params: ReducedParams, k: int) -> float:
     with _open_pool() as pool:
         plan = _LocalPlan(train, train.features, k, exclude_self=True,
                           pool=pool)
-        systems, cross = plan.correlation(params.rho, params.nu)
-        return _loo_score(plan, train.labels, systems, cross, params.omega2)
+        plan.correlation(params.rho, params.nu)
+        latent = plan.latent_means(params.omega2)
+    return float(np.mean(_signs(latent) == train.labels))
 
 
 def grid_search(train: LabeledSet, grid: GridSpec,
@@ -396,7 +385,6 @@ def grid_search(train: LabeledSet, grid: GridSpec,
     count, and the wall time of the whole search.
     """
     started = time.perf_counter()
-    labels = train.labels
     best = -1.0
     tied: List[Tuple[float, float, float]] = []
     evaluations = 0
@@ -405,9 +393,10 @@ def grid_search(train: LabeledSet, grid: GridSpec,
                           pool=pool)
         for nu in grid.nu_values:
             for rho in grid.rho_values:
-                systems, cross = plan.correlation(rho, nu)
+                plan.correlation(rho, nu)
                 for omega2 in grid.omega2_values:
-                    score = _loo_score(plan, labels, systems, cross, omega2)
+                    latent = plan.latent_means(omega2)
+                    score = float(np.mean(_signs(latent) == train.labels))
                     evaluations += 1
                     if score > best:
                         best = score

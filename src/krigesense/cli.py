@@ -3,7 +3,7 @@
 Every run writes one CSV (path set by --out, default <subcommand>.csv)
 plus a JSON manifest next to it recording the command, the fully resolved
 flag values, seed, versions, the classifier's pool size, timestamps, and
-output paths.
+output paths; a sobol run adds how many bootstrap replicates it kept.
 Reruns with the same flags and seed reproduce the CSV byte for byte;
 wall-time columns are the only nondeterministic fields.
 """
@@ -14,10 +14,9 @@ import argparse
 import csv
 import datetime
 import json
-import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -57,7 +56,7 @@ def _now() -> str:
 
 
 def _write_manifest(args: argparse.Namespace, started: str,
-                    outputs: List[str]) -> str:
+                    fields: Dict[str, Any]) -> str:
     flags = {key: value for key, value in vars(args).items()
              if key != "command"}
     manifest = {
@@ -69,7 +68,7 @@ def _write_manifest(args: argparse.Namespace, started: str,
         "workers": worker_count(),
         "started": started,
         "finished": _now(),
-        "outputs": outputs,
+        **fields,
     }
     path = os.path.splitext(args.out)[0] + ".manifest.json"
     with open(path, "w") as handle:
@@ -78,7 +77,7 @@ def _write_manifest(args: argparse.Namespace, started: str,
     return path
 
 
-def _cmd_weights(args: argparse.Namespace) -> List[str]:
+def _cmd_weights(args: argparse.Namespace) -> Dict[str, Any]:
     params = ReducedParams(rho=args.rho, nu=args.nu, omega2=args.omega2)
     train, point = study_grid(args.dim)
     weights = kriging_weights(train, point, params).weights
@@ -91,27 +90,23 @@ def _cmd_weights(args: argparse.Namespace) -> List[str]:
         rows = [(_fmt(pt[0]), _fmt(pt[1]), _fmt(w))
                 for pt, w in zip(train.points, weights)]
     _write_csv(args.out, header, rows)
-    return [args.out]
+    return {"outputs": [args.out]}
 
 
-def _band_label(gamma: float) -> str:
-    return "failed" if math.isnan(gamma) else band_of(gamma)
-
-
-def _cmd_collinearity(args: argparse.Namespace) -> List[str]:
+def _cmd_collinearity(args: argparse.Namespace) -> Dict[str, Any]:
     cells = collinearity_scan(grid_nu=(args.nu_min, args.nu_max),
                               grid_rho=(args.rho_min, args.rho_max),
                               resolution=args.res)
     header = ["nu", "rho", "gamma_correlation", "gamma_weights",
               "band_correlation", "band_weights"]
     rows = [(_fmt(c.nu), _fmt(c.rho), _fmt(c.gamma_correlation),
-             _fmt(c.gamma_weights), _band_label(c.gamma_correlation),
-             _band_label(c.gamma_weights)) for c in cells]
+             _fmt(c.gamma_weights), band_of(c.gamma_correlation),
+             band_of(c.gamma_weights)) for c in cells]
     _write_csv(args.out, header, rows)
-    return [args.out]
+    return {"outputs": [args.out]}
 
 
-def _cmd_sobol(args: argparse.Namespace) -> List[str]:
+def _cmd_sobol(args: argparse.Namespace) -> Dict[str, Any]:
     response = ("weights" if args.response == "weights"
                 else "prediction_variance")
     if args.omega2 == "vary":
@@ -129,10 +124,10 @@ def _cmd_sobol(args: argparse.Namespace) -> List[str]:
              _fmt(result.bootstrap_halfwidth[i]))
             for i, name in enumerate(result.inputs)]
     _write_csv(args.out, header, rows)
-    return [args.out]
+    return {"outputs": [args.out], "replicates_kept": result.replicates_kept}
 
 
-def _cmd_classify_bench(args: argparse.Namespace) -> List[str]:
+def _cmd_classify_bench(args: argparse.Namespace) -> Dict[str, Any]:
     sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     results = run_benchmark(train_sizes=sizes, iterations=args.iters,
                             seed=args.seed, k=args.k,
@@ -143,7 +138,7 @@ def _cmd_classify_bench(args: argparse.Namespace) -> List[str]:
              _fmt(r.accuracy), _fmt(r.wall_time), str(r.evaluations))
             for r in results]
     _write_csv(args.out, header, rows)
-    return [args.out]
+    return {"outputs": [args.out]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,9 +206,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     started = _now()
     try:
-        outputs = _COMMANDS[args.command](args)
+        fields = _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    _write_manifest(args, started, outputs)
+    _write_manifest(args, started, fields)
     return 0

@@ -107,12 +107,16 @@ class CollinearityCell:
 
 
 def band_of(gamma: float) -> str:
-    """identifiable below 10, borderline on [10, 20], collinear above."""
+    """identifiable below 10, borderline on [10, 20], collinear above;
+    failed for the NaN gamma of a cell that could not be evaluated, which
+    fails every comparison."""
     if gamma < 10.0:
         return "identifiable"
     if gamma <= 20.0:
         return "borderline"
-    return "collinear"
+    if gamma > 20.0:
+        return "collinear"
+    return "failed"
 
 
 def _central_differences(f: Callable[[np.ndarray], np.ndarray],
@@ -268,8 +272,7 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
                       else g_wts)
             cells.append(CollinearityCell(
                 nu=float(nu), rho=float(rho), gamma_correlation=float(g_corr),
-                gamma_weights=float(g_wts),
-                band="failed" if reason is not None else band_of(chosen)))
+                gamma_weights=float(g_wts), band=band_of(chosen)))
     if failures:
         warnings.warn(
             f"{len(failures)} scan cell(s) failed; first: {failures[0]}",

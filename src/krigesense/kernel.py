@@ -141,9 +141,10 @@ def _at(values, mask: np.ndarray):
 def matern_correlation(d, rho, nu):
     """Matern correlation at distance d (scalar or array).
 
-    Exactly 1 at d = 0. nu in {1/2, 3/2, 5/2} (within 1e-12) uses the
-    closed forms; other orders evaluate exp((1-nu) ln 2 - ln Gamma(nu)
-    + nu ln a + ln K_nu(a)) with a = sqrt(2 nu) d / rho.
+    Exactly 1 at d = 0 and within [0, 1] everywhere. nu in {1/2, 3/2,
+    5/2} (within 1e-12) uses the closed forms; other orders evaluate
+    exp((1-nu) ln 2 - ln Gamma(nu) + nu ln a + ln K_nu(a)) with
+    a = sqrt(2 nu) d / rho.
 
     rho and nu may be arrays that broadcast against d, such as (N, 1)
     parameter rows over (U,) distances. Each element gets the formula its
@@ -175,12 +176,14 @@ def matern_correlation(d, rho, nu):
             at, nt = a[tiny], _at(nu, tiny)
             correction = np.exp(_lgamma(1.0 - nt) - _lgamma(1.0 + nt)
                                 + 2.0 * nt * (np.log(at) - _LN2))
-            out[tiny] = np.clip(1.0 - correction, 0.0, 1.0)
+            out[tiny] = 1.0 - correction
         if np.any(main):
             am, nm = a[main], _at(nu, main)
             log_c = (_at((1.0 - nu) * _LN2 - _lgamma(nu), main)
                      + nm * np.log(am) + specfun.bessel_k_log_array(nm, am))
-            out[main] = np.minimum(np.exp(log_c), 1.0)
+            out[main] = np.exp(log_c)
+    # every formula can round just past 1 near d = 0
+    np.clip(out, 0.0, 1.0, out=out)
     out[np.broadcast_to(arr == 0.0, out.shape)] = 1.0
     return float(out) if out.ndim == 0 else out
 

@@ -1,10 +1,11 @@
 """Modified Bessel function of the second kind, K_nu, for real order.
 
 Linear-space evaluation goes through scipy's AMOS-backed routine. The log
-variant works from the exponentially scaled form so that it stays finite
-over the whole supported domain (nu in [0, 50], x in (0, 700]); in the
-corner where even the scaled value overflows (large nu together with tiny
-x) it switches to an ascending series evaluated fully in log space.
+variant is one array path, which the scalar call runs on a single value.
+It works from the exponentially scaled form so that it stays finite over
+the whole supported domain (nu in [0, 50], x in (0, 700]); in the corner
+where even the scaled value overflows (large nu together with tiny x) it
+switches to an ascending series evaluated fully in log space.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def bessel_k(nu: float, x: float) -> float:
 
 
 def bessel_k_log(nu: float, x: float) -> float:
-    """ln K_nu(x), finite over the whole supported domain."""
+    """ln K_nu(x), finite over the whole supported domain: the domain
+    check, then bessel_k_log_array on one value."""
     nu, x = _check_domain(nu, x)
-    scaled = float(kve(nu, x))  # kve = K_nu(x) * exp(x)
-    if math.isfinite(scaled) and scaled > 0.0:
-        return math.log(scaled) - x
-    return _log_k_small_x(nu, x)
+    # one element, not a 0-d array: the array path's fallback indexes the
+    # entries np.nonzero returns
+    return float(bessel_k_log_array(nu, np.array([x]))[0])
 
 
 def _log_k_small_x(nu: float, x: float) -> float:
@@ -108,9 +109,10 @@ class BesselEval:
 def bessel_k_log_array(nu, x: np.ndarray) -> np.ndarray:
     """Vectorized ln K_nu over an array of positive arguments.
 
-    Internal helper for kernel-matrix assembly; skips the scalar domain
-    ceremony (the kernel layer has already validated its parameters) but
-    applies the same overflow fallback elementwise. nu is one order or an
+    The one log-space path: kernel-matrix assembly calls it directly (the
+    kernel layer has already validated its parameters) and bessel_k_log
+    calls it on one value after its domain check. Elements where the
+    scaled form overflows take the small-x series. nu is one order or an
     array of orders that broadcasts against x.
     """
     x = np.asarray(x, dtype=float)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from krigesense import classifier, rng
+from krigesense import classifier, linalg, rng
 from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
@@ -200,8 +200,8 @@ def latent_from_plan(train, query, k, loo, params):
     with ThreadPoolExecutor(max_workers=classifier.worker_count()) as pool:
         plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
                                      pool=pool)
-        systems, cross = plan.correlation(params.rho, params.nu)
-        return plan.latent_means(systems, cross, params.omega2)
+        plan.correlation(params.rho, params.nu)
+        return plan.latent_means(params.omega2)
 
 
 def small_chunks(monkeypatch):
@@ -252,7 +252,8 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
                                      pool=pool)
-        systems, cross = plan.correlation(rho, nu)
+        plan.correlation(rho, nu)
+    systems, cross = plan.systems, plan.cross
     assert np.array_equal(
         cross, matern_correlation(cdist(query, train.features)[rows, nb],
                                   rho, nu))
@@ -261,6 +262,50 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
         systems, matern_correlation(
             np.stack([cdist(feats[row], feats[row]) for row in nb]), rho, nu))
     assert np.array_equal(plan.neighbor_labels, train.labels[nb])
+
+
+def rung_mix_set() -> LabeledSet:
+    """A spread 5 x 5 lattice plus two 12-point lines, spacings 0.2 and
+    0.02: at k=8, (nu, rho) = (5, 1) and no nugget, 6 of the 49
+    leave-one-out systems need jitter rung 1e-12 and 43 factor at rung 0."""
+    g = np.arange(5.0)
+    spread = 3.0 * np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+    line = np.column_stack([np.arange(12.0), np.zeros(12)])
+    feats = np.vstack([spread, (40.0, 0.0) + 0.2 * line,
+                       (0.0, 40.0) + 0.02 * line])
+    return LabeledSet(features=feats,
+                      labels=np.where(np.arange(len(feats)) % 3, -1, 1))
+
+
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_pd_probe_gives_each_system_its_own_rung(chunks, monkeypatch):
+    if chunks == "small":
+        small_chunks(monkeypatch)
+    train, k, rho, nu = rung_mix_set(), 8, 1.0, 5.0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plan = classifier._LocalPlan(train, train.features, k,
+                                     exclude_self=True, pool=pool)
+        plan.correlation(rho, nu)
+        systems, cross = plan.systems.copy(), plan.cross.copy()
+        got = plan.latent_means(0.0)
+    jitter = np.array([linalg.spd_factor(s).jitter_used for s in systems])
+    assert np.count_nonzero(jitter == 0.0) == 43
+    assert np.count_nonzero(jitter == 1e-12) == 6
+    solved = np.linalg.solve(systems + jitter[:, None, None] * np.eye(k),
+                             plan.neighbor_labels[..., None])[..., 0]
+    assert np.array_equal(got, np.einsum("nk,nk->n", cross, solved))
+
+
+def test_pd_probe_raises_when_the_ladder_cannot_fix_a_system():
+    train = rung_mix_set()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plan = classifier._LocalPlan(train, train.features, 8,
+                                     exclude_self=True, pool=pool)
+        plan.correlation(1.0, 0.5)
+        # off-diagonal 1.5 against a unit diagonal: eigenvalue -0.5
+        plan.systems[3, 0, 1] = plan.systems[3, 1, 0] = 1.5
+        with pytest.raises(linalg.NotPositiveDefiniteError):
+            plan.latent_means(0.0)
 
 
 def test_classifier_outputs_independent_of_worker_count(monkeypatch):

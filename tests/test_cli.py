@@ -10,7 +10,7 @@ import pytest
 from krigesense.cli import main
 from krigesense.identifiability import band_of
 from krigesense.kernel import matern_correlation
-from krigesense.sensitivity import study_grid
+from krigesense.sensitivity import StudyConfig, run_study, study_grid
 
 from oracles import gauss_jordan_inverse
 
@@ -92,6 +92,7 @@ def test_weights_manifest_contents(tmp_path):
     assert manifest["seed"] is None
     assert manifest["outputs"] == [str(out)]
     assert "threads" not in manifest
+    assert "replicates_kept" not in manifest
     assert isinstance(manifest["workers"], int) and manifest["workers"] >= 1
     assert "krigesense" in manifest["versions"]
     started = datetime.datetime.fromisoformat(manifest["started"])
@@ -125,6 +126,25 @@ def test_collinearity_small_scan_csv(tmp_path):
         assert g_corr >= 1.0 and g_wts >= 1.0
         assert row[4] == band_of(g_corr)
         assert row[5] == band_of(g_wts)
+
+
+def test_collinearity_failed_cells_are_failed_in_both_bands(tmp_path):
+    # rho = 1e-6 gives a row of cells that cannot be evaluated
+    out = tmp_path / "c.csv"
+    with pytest.warns(RuntimeWarning, match="scan cell"):
+        code = main(["collinearity", "--rho-min", "1e-6", "--rho-max", "1",
+                     "--res", "2", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    failed = [row for row in rows if row[2] == "nan"]
+    assert len(failed) == 2
+    for row in failed:
+        assert row[3] == "nan"
+        assert row[4] == row[5] == "failed"
+    for row in rows:
+        if row[2] != "nan":
+            assert row[4] == band_of(float(row[2]))
+            assert row[5] == band_of(float(row[3]))
 
 
 def test_collinearity_rerun_byte_identical(tmp_path):
@@ -164,6 +184,12 @@ def test_sobol_varying_study_and_determinism(tmp_path):
     manifest = read_manifest(a)
     assert manifest["seed"] == 7
     assert manifest["flags"]["n"] == 1024
+    config = StudyConfig(grid_dimension=1, response="weights",
+                         omega2_mode="varying", omega2_value=None,
+                         include_sigma2=False, sample_budget=1024, seed=7)
+    kept = run_study(config).replicates_kept
+    assert 0 < kept <= 200
+    assert manifest["replicates_kept"] == kept
 
 
 def test_sobol_fixed_zero_drops_omega2(tmp_path):

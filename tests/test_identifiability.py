@@ -180,6 +180,8 @@ def test_band_thresholds():
     assert band_of(20.0) == "borderline"
     assert band_of(20.0001) == "collinear"
     assert band_of(1e12) == "collinear"
+    # a cell that could not be evaluated carries NaN gammas
+    assert band_of(float("nan")) == "failed"
 
 
 # --------------------------------------------------------------- scan

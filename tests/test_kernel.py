@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import kve
 
@@ -75,6 +75,32 @@ def test_correlation_monotone_in_distance_and_range():
         hi = matern_correlation(ds, rho_hi, 1.0)
         assert np.all(hi > lo)
 
+
+
+@given(rho=st.floats(0.01, 5.0), nu=st.sampled_from([0.5, 1.5, 2.5])
+       | st.floats(0.01, 50.0),
+       log_d=st.lists(st.floats(-14.0, 2.0), min_size=1, max_size=60),
+       zeros=st.integers(0, 2))
+# the 5/2 closed form rounded to 1 + 2.2e-16 at these distances
+@example(rho=1.0, nu=2.5, log_d=[-8.058, -8.031, -8.028], zeros=1)
+def test_correlation_in_unit_interval_and_not_increasing(rho, nu, log_d,
+                                                         zeros):
+    d = np.sort(np.concatenate([np.zeros(zeros), 10.0 ** np.array(log_d)]))
+    c = matern_correlation(d, rho, nu)
+    assert np.all((c >= 0.0) & (c <= 1.0))
+    assert np.all(c[d == 0.0] == 1.0)
+    # a general order prices exp((1 - nu) ln 2 - ln Gamma(nu) + nu ln a
+    # + ln K_nu(a)); near a = 0 the terms, of size up to
+    # M = |(1 - nu) ln 2 - ln Gamma(nu)| + nu |ln a| each, cancel to about
+    # 0, so a value carries an absolute error of about eps * 2M (1 eps * 2M
+    # at worst over 6,000 random draws). A step may rise by 4 eps * 2M.
+    a = (math.sqrt(2.0 * nu) / rho) * d
+    with np.errstate(divide="ignore"):
+        size = 2.0 * (abs((1.0 - nu) * math.log(2.0) - math.lgamma(nu))
+                      + nu * np.abs(np.log(a))) + 1.0
+    rise = np.diff(c)
+    assert np.all(rise <= 4.0 * np.finfo(float).eps
+                  * np.maximum(size[:-1], size[1:]))
 
 
 def test_stacked_correlation_equals_row_by_row_calls():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from krigesense import specfun
 from oracles import bessel_k_log_quadrature, bessel_k_quadrature
@@ -90,6 +91,36 @@ def test_recurrence_residual():
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
+def log_recurrence_gap(nu, x):
+    """ln K_{nu+1} against logaddexp(ln K_{nu-1}, ln(2 nu / x) + ln K_nu),
+    from one array-path call over the three orders, relative to
+    max(1, |ln K_{nu+1}|)."""
+    logs = specfun.bessel_k_log_array(np.array([nu - 1.0, nu, nu + 1.0]), x)
+    rhs = np.logaddexp(logs[0], math.log(2.0 * nu / x) + logs[1])
+    return abs(logs[2] - rhs) / max(1.0, abs(logs[2]))
+
+
+# Both recurrence terms are positive, so nothing cancels. kve is good to a
+# few 1e-15 relative (7.2e-15 at worst over 80,000 random draws) and a log
+# value L carries ulps of L (up to 1100 in the small-x corner), so 1e-13 is
+# 14x the worst gap seen.
+RECURRENCE_TOL = 1e-13
+
+
+@given(nu=st.floats(1.0, 49.0), log_x=st.floats(-8.0, math.log10(700.0)))
+def test_recurrence_in_log_space_through_the_array_path(nu, log_x):
+    assert log_recurrence_gap(nu, 10.0 ** log_x) <= RECURRENCE_TOL
+
+
+def test_recurrence_holds_in_the_small_x_series_corner(monkeypatch):
+    calls = []
+    series = specfun._log_k_small_x
+    monkeypatch.setattr(specfun, "_log_k_small_x",
+                        lambda nu, x: calls.append(nu) or series(nu, x))
+    assert log_recurrence_gap(49.0, 1e-8) <= RECURRENCE_TOL
+    assert calls == [48.0, 49.0, 50.0]
+
+
 def test_strictly_decreasing_in_argument():
     xs = np.linspace(0.05, 30.0, 100)
     for nu in (0.3, 0.5, 1.0, 2.5, 10.0):
@@ -133,5 +164,6 @@ def test_array_log_path_matches_scalar():
     for nu in (0.3, 4.0, 35.0):
         got = specfun.bessel_k_log_array(nu, xs)
         ref = np.array([specfun.bessel_k_log(nu, float(x)) for x in xs])
-        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        # the scalar call is the array path on one value
+        assert np.array_equal(got, ref)
         assert got.shape == xs.shape

@@ -12,9 +12,11 @@ so drift in host speed falls on both sides alike. Both trees run their
 own copy of ``perfbench/``, which must be the same code.
 
 The output records the host (core count; Python, numpy, scipy and BLAS
-versions), every run's end-to-end metrics, and per workload and metric
-each side's median and quartiles and how many pairs the change won, by
-the direction ``BENCHMARK.json`` declares. Ties count for neither side.
+versions), both trees' line counts of ``src/krigesense/*.py`` as
+``wc -l`` gives them, every run's end-to-end metrics, and per workload
+and metric each side's median and quartiles and how many pairs the
+change won, by the direction ``BENCHMARK.json`` declares. Ties count for
+neither side.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ def source_digest(tree: str) -> str:
     return digest.hexdigest()
 
 
+def source_lines(tree: str) -> dict:
+    """Newline count of each src/krigesense/*.py in tree, as wc -l gives
+    it, and their total."""
+    package = os.path.join(tree, "src", "krigesense")
+    counts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                counts[name] = handle.read().count(b"\n")
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def host() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": len(os.sched_getaffinity(0)),
@@ -142,6 +157,8 @@ def main(argv=None) -> int:
         record["parent_commit"] = export(args.parent, parent)
         record["parent_src_sha256"] = source_digest(parent)
         record["change_src_sha256"] = source_digest(ROOT)
+        record["parent_src_lines"] = source_lines(parent)
+        record["change_src_lines"] = source_lines(ROOT)
         for workload in args.workloads.split(","):
             pairs = []
             for seed in range(args.pairs):
