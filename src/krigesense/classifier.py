@@ -299,11 +299,13 @@ class _LocalPlan:
             values[start:stop] = matern_correlation(
                 self.pair_dist[start:stop], rho, nu)
 
+        # the inverses index values in range by construction; mode="clip"
+        # writes into out directly, where the default mode buffers it
         def gather(start: int, stop: int) -> None:
             np.take(values, self.pair_inv[start:stop],
-                    out=self.systems[start:stop])
+                    out=self.systems[start:stop], mode="clip")
             np.take(values, self.cross_inv[start:stop],
-                    out=self.cross[start:stop])
+                    out=self.cross[start:stop], mode="clip")
 
         _in_chunks(self._pool, fill, values.size, _VALUES_PER_CHUNK)
         _in_chunks(self._pool, gather, len(self.cross), _SYSTEMS_PER_CHUNK)

@@ -7,7 +7,8 @@ against the prediction location. Weights and the variance ratio depend on
 variance and tau2 only through omega2 = tau2 / sigma2.
 
 (N,) arrays of (rho, nu, omega2) build a stack of N systems on one layout
-in one pass; results then carry a leading axis of N.
+in one pass, pricing each distinct row once; results then carry a
+leading axis of N.
 """
 
 from __future__ import annotations
@@ -55,6 +56,29 @@ def _as_observations(y, count: int) -> np.ndarray:
     return vec
 
 
+def _repeated_rows(rho: np.ndarray, nu: np.ndarray, omega2: np.ndarray):
+    """None when every (rho, nu, omega2) row of a stack is distinct.
+    Otherwise ((first, inverse) per distinct (rho, nu), (first, inverse)
+    per distinct row): first indexes one row of each group and
+    inverse maps every row to its group, so rows == rows[first][inverse].
+    One lexsort, then equal neighbors are one group."""
+    order = np.lexsort((omega2, nu, rho))
+    r, v, w = rho[order], nu[order], omega2[order]
+    new_pair = np.ones(len(order), dtype=bool)
+    new_pair[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
+    new_row = new_pair.copy()
+    new_row[1:] |= w[1:] != w[:-1]
+    if new_row.all():
+        return None
+
+    def groups(starts: np.ndarray) -> tuple:
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        return order[starts], inverse
+
+    return groups(new_pair), groups(new_row)
+
+
 @dataclass(frozen=True)
 class KrigingSystem:
     """Factored kriging system(s) shared by the weight and variance paths;
@@ -69,25 +93,47 @@ class KrigingSystem:
     @classmethod
     def build(cls, train: LocationSet, pred,
               params: ReducedParams) -> "KrigingSystem":
+        """Price, assemble and factor one system or an (N,) stack of
+        (rho, nu, omega2) rows on one layout.
+
+        Each distinct distance of the layout is priced once per distinct
+        (rho, nu), and each distinct (rho, nu, omega2) is factored once;
+        repeated rows get copies of their group's factor, jitter_used and
+        cross, so the result still has one entry per input row, in input
+        order. Every step works per row, so a row gives the same bits
+        alone, in any stack, or as a repeat. A stack with no repeats is
+        built as it is, without copies.
+        """
         pt = _as_point(pred, train.dimension)
         fields = (params.rho, params.nu, params.omega2)
         rho, nu, omega2 = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
         if rho.ndim > 1:
             raise ValueError("a parameter stack must be 1-D")
+        repeats = _repeated_rows(rho, nu, omega2)
+        if repeats is not None:
+            (pair_rows, pair_inv), (system_rows, system_inv) = repeats
+            rho, nu = rho[pair_rows], nu[pair_rows]
         # every distinct distance value of the layout (training points plus
-        # the prediction point) is priced once per row: the 1-D study layout
+        # the prediction point) is priced once per (rho, nu): the 1-D layout
         # has 420 distances but 54 values, where point pairs would give 230;
         # the diagonal distances are exactly 0
         n = train.count
         uniq, inv = _distinct(
             cdist(np.vstack([train.points, pt]), train.points))
         corr = matern_correlation(uniq, rho[:, None], nu[:, None])
-        layout = np.take(corr, inv, axis=1)
-        systems = layout[:, :n]
+        system_corr = cross_corr = corr
+        if repeats is not None:
+            system_corr = corr[pair_inv[system_rows]]
+            cross_corr = corr[pair_inv]
+            omega2 = omega2[system_rows]
+        systems = np.take(system_corr, inv[:n], axis=1)
+        cross = np.take(cross_corr, inv[n], axis=1)
         systems[:, np.arange(n), np.arange(n)] += omega2[:, None]
         factor = linalg.spd_factor_stack(systems)
-        cross = layout[:, n]
+        if repeats is not None:
+            factor = linalg.SpdFactor(n, factor.lower[system_inv],
+                                      factor.jitter_used[system_inv])
         if not any(np.ndim(v) for v in fields):
             factor = linalg.SpdFactor(n, factor.lower[0],
                                       float(factor.jitter_used[0]))

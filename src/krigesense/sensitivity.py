@@ -6,8 +6,13 @@ normalizes by the response variance. The kriging-weights response treats
 the training-location index as one more input ("x"), a uniform discrete
 factor, so the weight vector is analyzed as a functional response without
 ever emulating it.
-Responses take a whole (n, p) sample matrix at a time, and the study
-responses price its n rows as one stack of kriging systems.
+Responses take a matrix of sample rows at a time, and the study
+responses price its rows as one stack of kriging systems. A pick-freeze
+hybrid A_B^i equals A outside column i, so sobol_total hands f the same
+base rows of every matrix in one call, and the kriging stack prices each
+distinct (rho, nu) and factors each distinct (rho, nu, omega2) once: the
+location factor's hybrid repeats A's systems exactly, and omega2's
+repeats A's correlations.
 """
 
 from __future__ import annotations
@@ -216,14 +221,32 @@ def response_variance(sigma2, rho, nu, omega2,
     return kriging_variance(train, point, params)
 
 
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
-              label: str) -> np.ndarray:
-    values = np.asarray(f(rows), dtype=float)
-    if values.shape != (len(rows),):
-        raise ValueError(f"f must give one response per row of the {label} "
-                         f"sample, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ArithmeticError(f"non-finite response value in {label} sample")
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], matrices: np.ndarray,
+              labels) -> np.ndarray:
+    """f's responses to a (k, n, p) stack of sample matrices, as (k, n).
+
+    f is called on row-aligned blocks: each call holds the same
+    ceil(n / k) base rows of every matrix, stacked matrix by matrix, so a
+    row and its copies in the other matrices always share a call, and
+    there are at most k calls of about n rows each."""
+    count, n, p = matrices.shape
+    block = -(-n // count)
+    values = np.empty((count, n))
+    for start in range(0, n, block):
+        rows = matrices[:, start:start + block].reshape(-1, p)
+        got = np.asarray(f(rows), dtype=float)
+        if got.shape != (len(rows),):
+            raise ValueError(
+                f"f must give one response per row, got shape {got.shape} "
+                f"for {len(rows)} rows")
+        got = got.reshape(count, -1)
+        bad = ~np.isfinite(got)
+        if bad.any():
+            matrix, row = np.argwhere(bad)[0]
+            raise ArithmeticError(
+                f"non-finite response value in {labels[matrix]} sample, "
+                f"row {start + row}")
+        values[:, start:start + block] = got
     return values
 
 
@@ -239,16 +262,24 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
                 location_count: Optional[int] = None) -> SobolResult:
     """Jansen pick-freeze total-effect indices of f over the box.
 
-    f maps an (n, p) sample matrix to its n responses, one per row; a row
-    holds the active parameters in box order, then the location index
-    when location_count is given. f is called once each for A, for every
-    hybrid A_B^i and for the Latin hypercube sample. Indices use
+    f maps an (m, p) matrix of sample rows to its m responses, one per
+    row; a row holds the active parameters in box order, then the
+    location index when location_count is given. The rows of A, of every
+    hybrid A_B^i (A with column i from B) and of the Latin hypercube
+    sample go to f in row-aligned blocks: each call holds the same
+    ceil(N / (p + 2)) base rows of A, then of each A_B^i in input order,
+    then of the Latin hypercube sample, so row r of A_B^i shares a call
+    with row r of A, which it equals outside column i, and a response
+    that prices each distinct row once can skip the copies. An error for
+    a non-finite response names the matrix and row of the call's first
+    bad value. Indices use
     T_i = sum((f(A) - f(A_B^i))^2) / (2 N varhat), with varhat taken from
     an independent Latin hypercube sample; 200 bootstrap resamples give a
     95% halfwidth on the percent-share scale (replicates with a
     non-positive resampled variance or index sum are dropped and counted
     in replicates_kept). Cost is exactly
-    base_count * (p + 2) response evaluations, in p + 2 calls of f.
+    base_count * (p + 2) response evaluations, in at most p + 2 calls
+    of f of about base_count rows each.
     """
     if base_count < 256:
         raise ValueError(f"base_count must be >= 256, got {base_count}")
@@ -276,14 +307,9 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
 
     a = draw_matrix(rng.stream(seed, 1))
     b = draw_matrix(rng.stream(seed, 2))
-
-    f_a = _evaluate(f, a, "A")
-    squared = np.empty((p, n))
+    hybrids = np.repeat(a[None], p, axis=0)
     for i in range(p):
-        hybrid = a.copy()
-        hybrid[:, i] = b[:, i]
-        f_h = _evaluate(f, hybrid, f"A_B^{names[i]}")
-        squared[i] = (f_a - f_h) ** 2
+        hybrids[i, :, i] = b[:, i]
 
     if p_cont:
         var_rows = lhs_sample(n, box, seed)
@@ -292,7 +318,11 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     if location_count is not None:
         x_col = _balanced_indices(n, location_count, rng.stream(seed, 3))
         var_rows = np.column_stack([var_rows, x_col])
-    f_var = _evaluate(f, var_rows, "variance")
+
+    values = _evaluate(f, np.concatenate([a[None], hybrids, var_rows[None]]),
+                       ["A", *(f"A_B^{name}" for name in names), "variance"])
+    f_a, f_var = values[0], values[-1]
+    squared = (f_a - values[1:-1]) ** 2
     var_hat = float(np.var(f_var, ddof=1))
     if var_hat <= 0.0:
         raise UndefinedSharesError("response variance estimate is zero")

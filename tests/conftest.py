@@ -4,7 +4,8 @@ Property tests run under one fixed hypothesis profile: derandomized, so a
 run repeats the same examples; no deadline, because host speed drifts
 from run to run; and a bounded example count. The cli_child fixture runs
 a subcommand in a child process, optionally narrowed to one core, which
-is how the CLI tests vary the real pool size.
+is how the CLI tests vary the real pool size. The matern_calls fixture
+counts correlation fills wherever in the package they come from.
 """
 
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 import krigesense
+from krigesense.kernel import matern_correlation
 
 settings.register_profile("krigesense", derandomize=True, deadline=None,
                           max_examples=60, database=None)
@@ -48,3 +50,22 @@ def cli_child():
         return subprocess.run(argv, env=env, timeout=600).returncode
 
     return run
+
+
+@pytest.fixture
+def matern_calls(monkeypatch):
+    """The positional arguments of every matern_correlation call for the
+    rest of the test, at every krigesense module binding of it, so a
+    second fill shows wherever it came from."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return matern_correlation(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("krigesense")
+                and getattr(module, "matern_correlation", None)
+                is matern_correlation):
+            monkeypatch.setattr(module, "matern_correlation", counted)
+    return calls

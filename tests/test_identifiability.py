@@ -1,8 +1,6 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
-import contextlib
 import math
-import sys
 import warnings
 from unittest import mock
 
@@ -330,25 +328,10 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
         assert repr(failures[0]) in message
 
 
-def test_scan_prices_one_correlation_fill_per_nu_row():
-    # every binding of matern_correlation in the package is counted, so a
-    # second pricing of the curves would show wherever it came from
-    calls = []
-    real = matern_correlation
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real(*args, **kwargs)
-
-    with contextlib.ExitStack() as stack:
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("krigesense")
-                    and getattr(module, "matern_correlation", None) is real):
-                stack.enter_context(mock.patch.object(
-                    module, "matern_correlation", counted))
-        cells = collinearity_scan(resolution=3)
+def test_scan_prices_one_correlation_fill_per_nu_row(matern_calls):
+    cells = collinearity_scan(resolution=3)
     assert len(cells) == 9
-    assert len(calls) == 3
+    assert len(matern_calls) == 3
 
 
 def test_scan_curve_equals_the_separate_correlation_call():

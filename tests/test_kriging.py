@@ -514,3 +514,45 @@ def test_zero_nugget_system_at_a_training_point_gives_a_unit_weight(
                              + jitter * np.eye(count))
     tol = (jitter + count * np.finfo(float).eps * eig[-1]) / eig[0]
     assert np.max(np.abs(w - np.eye(count)[i])) <= tol
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(0, 12),
+       jittered=st.booleans(), dim=st.sampled_from([1, 2]))
+def test_repeated_rows_build_as_each_row_alone(seed, extra, jittered, dim):
+    # an exact duplicate, a (rho, nu) with two omega2 values, random picks
+    # from those rows, and optionally a duplicated zero-nugget nu = 10 row,
+    # which factors only at a jitter rung on the 20-point grid
+    grid = make_grid(1, 21, exclude=0.5) if dim == 1 else make_grid(2, 4)
+    pred = np.full(dim, 0.5)
+    g = np.random.default_rng(seed)
+    rho = g.uniform(0.01, 5.0, 4)
+    nu = g.uniform(0.01, 2.5, 4)
+    omega2 = g.uniform(0.001, 0.1, 4)
+    rho[1], nu[1], omega2[1] = rho[0], nu[0], omega2[0]
+    rho[3], nu[3] = rho[2], nu[2]
+    if jittered:
+        rho = np.append(rho, [1.0, 1.0])
+        nu = np.append(nu, [10.0, 10.0])
+        omega2 = np.append(omega2, [0.0, 0.0])
+    picks = np.concatenate([np.arange(len(rho)),
+                            g.integers(0, len(rho), extra)])
+    picks = g.permutation(picks)
+    rho, nu, omega2 = rho[picks], nu[picks], omega2[picks]
+    sigma2 = g.uniform(0.1, 5.0, len(picks))
+    params = ReducedParams(rho, nu, omega2)
+    system = KrigingSystem.build(grid, pred, params)
+    weights = kriging_weights(grid, pred, params).weights
+    variances = kriging_variance(
+        grid, pred, MaternParams(sigma2, rho, nu, omega2 * sigma2))
+    if jittered and dim == 1:
+        assert np.all(system.factor.jitter_used[nu == 10.0] > 0.0)
+    for i in range(len(picks)):
+        row = ReducedParams(rho[i], nu[i], omega2[i])
+        alone = KrigingSystem.build(grid, pred, row)
+        assert np.array_equal(system.factor.lower[i], alone.factor.lower)
+        assert system.factor.jitter_used[i] == alone.factor.jitter_used
+        assert np.array_equal(system.cross[i], alone.cross)
+        assert np.array_equal(weights[i],
+                              kriging_weights(grid, pred, row).weights)
+        assert variances[i] == kriging_variance(grid, pred, MaternParams(
+            sigma2[i], rho[i], nu[i], omega2[i] * sigma2[i]))

@@ -14,6 +14,7 @@ is the open question; the assertion is kept as stated.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -315,18 +316,78 @@ def test_bootstrap_equals_the_per_replicate_loop(response, seed,
 
     res = sobol_total(f, box, base_count=256, seed=seed,
                       location_count=location_count)
-    # calls: A, each A_B^i in input order, then the variance sample
-    squared = np.empty((len(calls) - 2, 256))
-    for i, f_h in enumerate(calls[1:-1]):
-        squared[i] = (calls[0] - f_h) ** 2
-    totals = squared.mean(axis=1) / (2.0 * float(np.var(calls[-1], ddof=1)))
+    # each call holds one block of base rows of A, of each A_B^i in input
+    # order, then of the variance sample
+    blocks = len(res.inputs) + 2
+    f_a, *f_hybrids, f_var = np.concatenate(
+        [c.reshape(blocks, -1) for c in calls], axis=1)
+    squared = np.empty((blocks - 2, 256))
+    for i, f_h in enumerate(f_hybrids):
+        squared[i] = (f_a - f_h) ** 2
+    totals = squared.mean(axis=1) / (2.0 * float(np.var(f_var, ddof=1)))
     assert np.array_equal(res.percent_share, 100.0 * totals / totals.sum())
     halfwidth, kept, zero_variance, zero_sum = _loop_bootstrap(
-        squared, calls[-1], seed)
+        squared, f_var, seed)
     assert np.array_equal(res.bootstrap_halfwidth, halfwidth)
     assert res.replicates_kept == kept
     assert (zero_variance > 0 and zero_sum > 0) == drops
     assert kept == 200 - zero_variance - zero_sum
+
+
+@pytest.mark.parametrize("base_count, location_count", [
+    (256, 5), (259, None), (1000, 7)])
+def test_sobol_calls_hold_row_aligned_blocks(base_count, location_count):
+    box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 2.0, 3.0), ("c", -1.0, 0.0)))
+    calls = []
+
+    def f(rows):
+        calls.append(rows.copy())
+        return np.sin(rows).sum(axis=1)
+
+    res = sobol_total(f, box, base_count=base_count, seed=2,
+                      location_count=location_count)
+    p = len(res.inputs)
+    assert len(calls) <= p + 2
+    assert sum(len(c) for c in calls) == res.evaluations
+    for rows in calls:
+        blocks = rows.reshape(p + 2, -1, p)
+        for i in range(p):
+            outside = np.arange(p) != i
+            assert np.array_equal(blocks[1 + i][:, outside],
+                                  blocks[0][:, outside])
+    # the blocks of A, taken in call order, are A's rows once each
+    a_rows = np.concatenate([c.reshape(p + 2, -1, p)[0] for c in calls])
+    assert len(np.unique(a_rows, axis=0)) == base_count
+
+
+@pytest.mark.parametrize("block, row, label", [
+    (0, 0, "A"), (2, 3, "A_B^b"), (3, 7, "A_B^x"), (4, 0, "variance")])
+def test_sobol_error_names_the_matrix_of_the_first_bad_row(block, row,
+                                                           label):
+    box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
+
+    def f(rows):
+        out = rows[:, 0] + rows[:, 1]
+        out[block * (len(rows) // 5) + row] = np.nan
+        return out
+
+    with pytest.raises(ArithmeticError,
+                       match=re.escape(f"in {label} sample, row {row}")):
+        sobol_total(f, box, base_count=256, seed=0, location_count=4)
+    with pytest.raises(ValueError, match="one response per row"):
+        sobol_total(lambda rows: rows[:-1, 0], box, base_count=256, seed=0)
+
+
+@pytest.mark.parametrize("omega2_mode, omega2_value", [
+    ("fixed", 0.01), ("varying", None)])
+def test_study_prices_each_distinct_correlation_row_once(
+        omega2_mode, omega2_value, matern_calls):
+    # A, A_B^rho, A_B^nu and the variance sample each bring n new (rho, nu)
+    # rows; A_B^x repeats A's, and A_B^omega2 repeats A's (rho, nu)
+    run_study(StudyConfig(response="weights", omega2_mode=omega2_mode,
+                          omega2_value=omega2_value, sample_budget=256,
+                          seed=0))
+    assert sum(np.size(args[1]) for args in matern_calls) == 4 * 256
 
 
 # ------------------------------------------------------------ run_study

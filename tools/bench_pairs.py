@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent HEAD --pairs 10 --seconds 30 \\
-        --out BENCH_7.json
+        --out BENCH_9.json
 
 The parent commit is exported with ``git archive`` into a temporary
 directory; the change is this checkout's working tree, identified in the
@@ -14,9 +14,11 @@ own copy of ``perfbench/``, which must be the same code.
 The output records the host (core count; Python, numpy, scipy and BLAS
 versions), both trees' line counts of ``src/krigesense/*.py`` as
 ``wc -l`` gives them, every run's end-to-end metrics, and per workload
-and metric each side's median and quartiles and how many pairs the
-change won, by the direction ``BENCHMARK.json`` declares. Ties count for
-neither side.
+and metric each side's median and quartiles, how many pairs the change
+won by the direction ``BENCHMARK.json`` declares (ties count for
+neither side), whether the gain rule holds and whether the change's
+median is inside the metric's ``BENCHMARK.json`` bound, which is only
+read.
 """
 
 from __future__ import annotations
@@ -76,9 +78,16 @@ def quartiles(values):
 
 
 def summarize(pairs, metrics) -> dict:
-    """Per metric: both sides' quartiles and the change's pair wins."""
+    """Per metric: both sides' quartiles, the change's pair wins, whether
+    the gain rule holds and whether the change is inside its bound.
+
+    The gain rule: the change wins at least 0.9 of the pairs, ties
+    counting for neither, and the medians differ by more than the
+    parent's interquartile range, the better way.
+    within_bound: the change's median is worse than the parent's by at
+    most the BENCHMARK.json bound, relative to the parent's median."""
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         done = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
                 for p in pairs
                 if "metrics" in p["parent"] and "metrics" in p["change"]]
@@ -89,11 +98,19 @@ def summarize(pairs, metrics) -> dict:
         losses = sum(sign * (c - p) < 0 for p, c in done)
         parent = quartiles([p for p, _ in done])
         change = quartiles([c for _, c in done])
+        gain = sign * (change["median"] - parent["median"])
+        wins_rule = wins >= 0.9 * len(done)
+        gap_rule = abs(gain) > parent["iqr"]
         out[name] = {
-            "better": better, "pairs": len(done), "change_wins": wins,
-            "change_losses": losses, "parent": parent, "change": change,
+            "better": better, "bound": bound, "pairs": len(done),
+            "change_wins": wins, "change_losses": losses,
+            "parent": parent, "change": change,
             "median_change_rel": (change["median"] - parent["median"])
             / parent["median"] if parent["median"] else None,
+            "wins_at_least_0_9": wins_rule,
+            "median_gap_beyond_parent_iqr": gap_rule,
+            "gain_rule_holds": wins_rule and gap_rule and gain > 0,
+            "within_bound": -gain <= bound * abs(parent["median"]),
         }
     return out
 
@@ -147,7 +164,7 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        metrics = {m["name"]: m["better"]
+        metrics = {m["name"]: (m["better"], m["bound"])
                    for m in json.load(handle)["end_to_end"]}
     record = {"host": host(), "seconds": args.seconds,
               "started": datetime.datetime.now(
