@@ -6,10 +6,12 @@ act on the output in nearly orthogonal directions, large gamma means some
 combination of them is locally unidentifiable. The (nu, rho) scan maps
 gamma over the smoothness/range plane for two outputs: the correlation
 curve seen from the prediction point and the kriging weight vector. The
-finite-difference thetas of a whole grid row are priced as one stack of
+grid is priced in blocks of whole nu rows, at least _SCAN_BLOCK_CELLS
+cells each: the finite-difference thetas of a block are one stack of
 kriging systems, whose prediction rows are the correlation curves and
-whose solves are the weights, and the row's gammas come from one stacked
-eigenvalue call per output.
+whose solves are the weights, and the block's gammas come from one
+stacked eigenvalue call per output. Every step works per system, so a
+cell's gammas do not depend on the block it is priced in.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ _REL_STEP = 1e-5
 _SCAN_OMEGA2 = 0.001
 _SCAN_GRID = make_grid(1, 21, exclude=0.5)
 _SCAN_POINT = 0.5
+# a scan prices whole nu rows together until a block holds this many
+# cells: a small scan takes few calls, and a res-100 row (100 cells, 400
+# systems) stays one block, so the default scan's memory does not change
+_SCAN_BLOCK_CELLS = 64
 
 
 class UndefinedCollinearityError(ValueError):
@@ -236,9 +242,11 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     at 0.5); the band field reflects output_kind. Cells that fail to
     evaluate get NaN gammas and band "failed"; failures are collected and
     reported as a warning instead of aborting the scan. Cell order is
-    row-major in (nu index, rho index). Each nu row of the grid is one
-    stack of 4 * resolution systems, and its gammas come from one
-    stacked eigenvalue call per output; a row where that raises is
+    row-major in (nu index, rho index). Consecutive nu rows form one
+    block until it holds at least _SCAN_BLOCK_CELLS cells (a res-12 scan
+    is two blocks of six rows, a res-100 row is a block of its own); a
+    block is one stack of 4 systems per cell, and its gammas come from
+    one stacked eigenvalue call per output. A block where that raises is
     priced again cell by cell, so a failure stays with its own cell.
     """
     if output_kind not in ("correlation_curve", "kriging_weights"):
@@ -252,20 +260,23 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
 
     nus = np.linspace(grid_nu[0], grid_nu[1], resolution)
     rhos = np.linspace(grid_rho[0], grid_rho[1], resolution)
+    rows_per_block = -(-_SCAN_BLOCK_CELLS // resolution)
     failures: List[str] = []
     cells = []
-    for nu in nus:
-        thetas = np.column_stack([np.full(resolution, nu), rhos])
+    for start in range(0, resolution, rows_per_block):
+        block_nus = nus[start:start + rows_per_block]
+        thetas = np.column_stack([np.repeat(block_nus, resolution),
+                                  np.tile(rhos, len(block_nus))])
         try:
-            row = _scan_gammas(thetas)
+            block = _scan_gammas(thetas)
         except Exception:  # noqa: BLE001 - priced again cell by cell
-            row = []
+            block = []
             for theta in thetas:
                 try:
-                    row += _scan_gammas(theta[None])
+                    block += _scan_gammas(theta[None])
                 except Exception as exc:  # noqa: BLE001 - per-cell aggregation
-                    row.append((np.nan, np.nan, exc))
-        for rho, (g_corr, g_wts, reason) in zip(rhos, row):
+                    block.append((np.nan, np.nan, exc))
+        for nu, rho, (g_corr, g_wts, reason) in zip(*thetas.T, block):
             if reason is not None:
                 failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {reason!r}")
             chosen = (g_corr if output_kind == "correlation_curve"

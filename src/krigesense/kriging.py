@@ -141,6 +141,19 @@ class KrigingSystem:
         return cls(train=train, pred=pt, params=params, factor=factor,
                    cross=cross)
 
+    def variance(self, sigma2):
+        """sigma2 (1 - c^T (Omega + omega2 I)^{-1} c), clamped at -1e-10:
+        a float for one system, an (N,) array for a stack; sigma2 is a
+        scalar or one value per row."""
+        solved = linalg.spd_solve(self.factor, self.cross)
+        quad = np.matmul(self.cross[..., None, :], solved[..., :, None])
+        variance = sigma2 * (1.0 - quad[..., 0, 0])
+        if np.any(variance < -1e-10):
+            raise ArithmeticError(
+                f"kriging variance {np.min(variance)} below the -1e-10 guard")
+        variance = np.maximum(variance, 0.0)
+        return float(variance) if variance.ndim == 0 else variance
+
 
 @dataclass(frozen=True)
 class KrigingWeights:
@@ -179,14 +192,7 @@ def kriging_variance(train: Optional[LocationSet], pred,
     if train is None:
         return params.sigma2
     system = KrigingSystem.build(train, pred, params.reduced())
-    solved = linalg.spd_solve(system.factor, system.cross)
-    quad = np.matmul(system.cross[..., None, :], solved[..., :, None])
-    variance = params.sigma2 * (1.0 - quad[..., 0, 0])
-    if np.any(variance < -1e-10):
-        raise ArithmeticError(
-            f"kriging variance {np.min(variance)} below the -1e-10 guard")
-    variance = np.maximum(variance, 0.0)
-    return float(variance) if variance.ndim == 0 else variance
+    return system.variance(params.sigma2)
 
 
 def log_likelihood(train: LocationSet, y, params: MaternParams) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class NotPositiveDefiniteError(Exception):
@@ -49,15 +50,20 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"square matrix required, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-    asymmetry = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
-    if np.any(asymmetry > tol * scale):
+    # max |a| as max(max a, -min a), and |a - a^T| in place: the same
+    # values without two full-size temporaries
+    scale = np.maximum(1.0, np.maximum(a.max(axis=(-2, -1)),
+                                       -a.min(axis=(-2, -1))))
+    asymmetry = a - np.swapaxes(a, -1, -2)
+    np.abs(asymmetry, out=asymmetry)
+    if np.any(asymmetry.max(axis=(-2, -1)) > tol * scale):
         raise ValueError("matrix is not symmetric within 1e-12")
     return a
 
 
 def spd_factor(matrix: np.ndarray) -> SpdFactor:
-    """Cholesky with an escalating diagonal jitter ladder.
+    """Cholesky with an escalating diagonal jitter ladder: one square
+    symmetric matrix factored as a stack of one by spd_factor_stack.
 
     Ladder scales are multiples of the mean diagonal: 0, 1e-12, 1e-10,
     1e-8. jitter_used records the absolute jitter that succeeded.
@@ -65,34 +71,58 @@ def spd_factor(matrix: np.ndarray) -> SpdFactor:
     a = _require_symmetric(matrix)
     if a.ndim != 2:
         raise ValueError(f"one square matrix required, got shape {a.shape}")
-    n = a.shape[0]
-    mean_diag = float(np.mean(np.diag(a))) if n else 0.0
-    for scale in JITTER_LADDER:
-        jitter = scale * mean_diag
-        try:
-            attempt = a if jitter == 0.0 else a + jitter * np.eye(n)
-            lower = np.linalg.cholesky(attempt)
-        except np.linalg.LinAlgError:
-            continue
-        return SpdFactor(dimension=n, lower=lower, jitter_used=jitter)
-    raise NotPositiveDefiniteError(
-        f"matrix not positive definite after jitter ladder {JITTER_LADDER} "
-        f"x mean diagonal {mean_diag!r}")
+    factor = spd_factor_stack(a[None])
+    return SpdFactor(dimension=a.shape[0], lower=factor.lower[0],
+                     jitter_used=float(factor.jitter_used[0]))
+
+
+def _cholesky_or_nan(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of every matrix of an (N, n, n) stack, by the
+    gufunc np.linalg.cholesky calls, without its raise: a matrix that
+    does not factor comes back filled with NaN."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.cholesky_lo(stack, signature="d->d")
+
+
+def _failed(lower: np.ndarray) -> np.ndarray:
+    """Which factors of a stack hold a NaN; row i of a factor feeds its
+    diagonal entry i, so the diagonal shows it."""
+    return np.isnan(np.diagonal(lower, axis1=-2, axis2=-1)).any(axis=-1)
 
 
 def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
-    """Factor an (N, n, n) stack of symmetric matrices by one batched
-    Cholesky. Only a stack where that raises walks spd_factor's jitter
-    ladder system by system, which gives a system that factors at rung 0
-    the same factor."""
+    """Factor an (N, n, n) stack of symmetric matrices, one batched
+    Cholesky per jitter rung.
+
+    Every system is tried at rung 0; only the systems that still fail are
+    checked for symmetry and go on to the next rung, each with its own
+    jitter: the rung's scale times its own mean diagonal. A system gets
+    the factor and jitter_used it gets alone, and the first system the
+    whole ladder cannot fix raises NotPositiveDefiniteError.
+    """
     stack = np.asarray(stack, dtype=float)
-    try:
-        lower = np.linalg.cholesky(stack)
-        jitter = np.zeros(stack.shape[0])
-    except np.linalg.LinAlgError:
-        factors = [spd_factor(matrix) for matrix in stack]
-        lower = np.stack([f.lower for f in factors])
-        jitter = np.array([f.jitter_used for f in factors])
+    lower = _cholesky_or_nan(stack)
+    jitter = np.zeros(stack.shape[0])
+    failing = np.flatnonzero(_failed(lower))
+    if failing.size:
+        pending = _require_symmetric(stack[failing])
+        mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
+        eye = np.eye(stack.shape[-1])
+        for scale in JITTER_LADDER[1:]:
+            rung = scale * mean_diag
+            attempt = _cholesky_or_nan(pending + rung[:, None, None] * eye)
+            done = ~_failed(attempt)
+            lower[failing[done]] = attempt[done]
+            jitter[failing[done]] = rung[done]
+            failing, pending, mean_diag = (
+                failing[~done], pending[~done], mean_diag[~done])
+            if not failing.size:
+                break
+        else:
+            raise NotPositiveDefiniteError(
+                f"matrix not positive definite after jitter ladder "
+                f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
     return SpdFactor(dimension=stack.shape[-1], lower=lower,
                      jitter_used=jitter)
 

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .kernel import LocationSet, MaternParams, ReducedParams, make_grid
-from .kriging import kriging_variance, kriging_weights
+from .kernel import LocationSet, ReducedParams, _check_params, make_grid
+from .kriging import KrigingSystem, kriging_weights
 
 __all__ = [
     "UndefinedSharesError",
@@ -211,14 +211,16 @@ def response_variance(sigma2, rho, nu, omega2,
                       grid_dimension: int = 1,
                       train: Optional[LocationSet] = None,
                       point=None):
-    """Kriging variance at the study prediction point; omega2 enters as
-    the nugget ratio, so tau2 = omega2 * sigma2. Scalars give a float,
-    (N,) arrays an (N,) array."""
+    """Kriging variance at the study prediction point, with omega2 the
+    nugget ratio as sampled (the system is built from (rho, nu, omega2),
+    never from tau2 = omega2 * sigma2). Scalars give a float, (N,)
+    arrays an (N,) array."""
     if train is None:
         train, point = study_grid(grid_dimension)
-    params = MaternParams(sigma2=sigma2, rho=rho, nu=nu,
-                          tau2=np.multiply(omega2, sigma2))
-    return kriging_variance(train, point, params)
+    (sigma2,) = _check_params(sigma2=sigma2)
+    system = KrigingSystem.build(
+        train, point, ReducedParams(rho=rho, nu=nu, omega2=omega2))
+    return system.variance(sigma2)
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray], matrices: np.ndarray,

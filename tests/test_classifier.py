@@ -296,6 +296,24 @@ def test_pd_probe_gives_each_system_its_own_rung(chunks, monkeypatch):
     assert np.array_equal(got, np.einsum("nk,nk->n", cross, solved))
 
 
+def test_rung_mix_stack_factors_as_each_system_alone():
+    # the batched ladder retries only the 6 systems that fail at rung 0;
+    # every factor and jitter is still spd_factor's for that system
+    train = rung_mix_set()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plan = classifier._LocalPlan(train, train.features, 8,
+                                     exclude_self=True, pool=pool)
+        plan.correlation(1.0, 5.0)
+    systems = plan.systems.copy()
+    systems[:, np.arange(8), np.arange(8)] = 1.0
+    f = linalg.spd_factor_stack(systems)
+    assert np.count_nonzero(f.jitter_used) == 6
+    for i, matrix in enumerate(systems):
+        alone = linalg.spd_factor(matrix)
+        assert f.jitter_used[i] == alone.jitter_used
+        assert f.lower[i].tobytes() == alone.lower.tobytes()
+
+
 def test_pd_probe_raises_when_the_ladder_cannot_fix_a_system():
     train = rung_mix_set()
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -1,6 +1,7 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -292,11 +293,13 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
         elif kind == "non-finite":
             cell[column, part.start + rng.integers(m)] = rng.choice(
                 [np.nan, np.inf, -np.inf])
-    nus = np.linspace(0.5, 1.0, res)
+    nus = rhos = np.linspace(0.5, 1.0, res)
 
     def rows(f, thetas, rel_step):
-        row = int(np.flatnonzero(nus == thetas[0, 0])[0])
-        return np.swapaxes(raw[row], -1, -2)
+        # each (nu, rho) theta, in whatever block it comes, gets its cell
+        cell = [(int(np.flatnonzero(nus == nu)[0]),
+                 int(np.flatnonzero(rhos == rho)[0])) for nu, rho in thetas]
+        return np.stack([np.swapaxes(raw[i, j], -1, -2) for i, j in cell])
 
     with mock.patch.object(identifiability, "_central_differences", rows), \
             warnings.catch_warnings(record=True) as caught:
@@ -304,7 +307,9 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
         cells = collinearity_scan(grid_nu=(0.5, 1.0), grid_rho=(0.5, 1.0),
                                   resolution=res)
         reasons = [cell[2] for nu in nus for cell in
-                   identifiability._scan_gammas(np.full((res, 2), nu))]
+                   identifiability._scan_gammas(
+                       np.column_stack([np.full(res, nu), rhos]))]
+    assert len(cells) == len(reasons) == res * res
     entries = np.swapaxes(raw, -1, -2).reshape(-1, 2 * m, 2)
     failures = []
     for cell, cell_entries, got in zip(cells, entries, reasons):
@@ -328,10 +333,65 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
         assert repr(failures[0]) in message
 
 
-def test_scan_prices_one_correlation_fill_per_nu_row(matern_calls):
+def test_scan_prices_one_correlation_fill_per_block(matern_calls,
+                                                    monkeypatch):
+    # whole nu rows join a block until it holds _SCAN_BLOCK_CELLS cells:
+    # a res-3 scan is one block, a res-12 scan two blocks of six rows
     cells = collinearity_scan(resolution=3)
     assert len(cells) == 9
-    assert len(matern_calls) == 3
+    assert len(matern_calls) == 1
+    collinearity_scan(resolution=12)
+    assert len(matern_calls) == 1 + 2
+    monkeypatch.setattr(identifiability, "_SCAN_BLOCK_CELLS", 3)
+    collinearity_scan(resolution=3)
+    assert len(matern_calls) == 1 + 2 + 3
+
+
+def _scan_record(monkeypatch, block_cells, **kw):
+    monkeypatch.setattr(identifiability, "_SCAN_BLOCK_CELLS", block_cells)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = collinearity_scan(**kw)
+    # repr keeps NaN comparable and shows every bit of a float
+    return ([repr((c.nu, c.rho, c.gamma_correlation, c.gamma_weights,
+                   c.band)) for c in cells],
+            [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("res", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("box", [
+    # the rho = 1e-6 column fails in every row
+    dict(grid_nu=(0.5, 2.0), grid_rho=(1e-6, 1.0)),
+    # the nu = 50 row steps past NU_MAX and cannot be stacked, so a block
+    # holding it is priced again cell by cell
+    dict(grid_nu=(49.0, 50.0), grid_rho=(0.5, 1.0)),
+    dict(grid_nu=(0.3, 2.4), grid_rho=(0.2, 4.0)),
+])
+def test_scan_cells_do_not_depend_on_rows_per_block(res, box, monkeypatch):
+    # one row per block is the row-by-row scan; 2, 3 and all rows per
+    # block must give every cell and the warning bit for bit the same
+    want = _scan_record(monkeypatch, 1, resolution=res, **box)
+    assert len(want[0]) == res * res
+    for rows in (2, 3, res):
+        assert _scan_record(monkeypatch, rows * res, resolution=res,
+                            **box) == want
+    if box["grid_rho"][0] == 1e-6 or (box["grid_nu"][1] == 50.0 and res > 1):
+        assert len(want[1]) == 1 and "failed" in want[1][0]
+        assert "nan" in " ".join(want[0])
+
+
+def test_small_scan_traced_peak_below_one_default_row():
+    # a res-12 scan is priced in blocks of six rows (72 cells); its traced
+    # peak stays below the 2.89 MB the row-by-row scan peaked at for one
+    # 100-cell row of the default scan (tracemalloc, numpy 2.4.6)
+    collinearity_scan(resolution=2)
+    tracemalloc.start()
+    try:
+        collinearity_scan(resolution=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_890_000
 
 
 def test_scan_curve_equals_the_separate_correlation_call():

@@ -414,8 +414,8 @@ def test_predict_mean_on_a_stack_matches_each_row_alone():
 
 def test_stack_with_a_jittered_row_matches_per_system_factors():
     # a zero-nugget nu = 10 system on the 20-point grid only factors at the
-    # 1e-12 rung, so the batched Cholesky raises and every row walks the
-    # jitter ladder on its own
+    # 1e-12 rung, so that row alone goes up the jitter ladder and every
+    # row gets the factor it gets on its own
     grid = make_grid(1, 21, exclude=0.5)
     rho = np.ones(5)
     nu = np.array([1.0, 1.0, 10.0, 1.0, 1.0])

@@ -90,11 +90,53 @@ def test_stack_factor_and_solve_match_per_system_calls():
         assert np.array_equal(x[i], linalg.spd_solve(alone, rhs[i]))
     with pytest.raises(ValueError):
         linalg.spd_solve(f, np.zeros((5, 4)))
-    # a singular member sends the stack down the per-system jitter ladder
+    # only a singular member goes up the jitter ladder
     stack[2] = np.ones((6, 6))
     f = linalg.spd_factor_stack(stack)
     assert f.jitter_used[2] > 0.0
     assert np.count_nonzero(f.jitter_used) == 1
+
+def _needing(smallest: float, rng, n: int = 6) -> np.ndarray:
+    """A symmetric n x n matrix with smallest eigenvalue `smallest` and
+    the others in [0.5, 1.5]: the ladder rung it needs follows from it."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.concatenate([[smallest], rng.uniform(0.5, 1.5, n - 1)])
+    a = (q * ev) @ q.T
+    return (a + a.T) / 2.0
+
+
+def test_stack_ladder_gives_each_system_its_own_rung():
+    # systems at every rung, shuffled: each factor and jitter_used is the
+    # one spd_factor gives that system alone, bit for bit
+    rng = np.random.default_rng(4)
+    stack = np.stack([_needing(lam, rng)
+                      for lam in (1e-3, -5e-13, -5e-11, -5e-9) * 3])
+    stack = stack[rng.permutation(len(stack))]
+    f = linalg.spd_factor_stack(stack)
+    rungs = []
+    for i, matrix in enumerate(stack):
+        alone = linalg.spd_factor(matrix)
+        assert f.jitter_used[i] == alone.jitter_used
+        assert f.lower[i].tobytes() == alone.lower.tobytes()
+        scale = alone.jitter_used / np.mean(np.diag(matrix))
+        rungs.append(min(linalg.JITTER_LADDER, key=lambda r: abs(r - scale)))
+    assert sorted(rungs) == sorted(linalg.JITTER_LADDER * 3)
+
+
+def test_stack_ladder_raises_spd_factors_error_for_the_first_failure():
+    rng = np.random.default_rng(5)
+    stack = np.stack([_needing(lam, rng)
+                      for lam in (1e-3, -5e-11, -1e-6, -5e-9, -1e-5)])
+    with pytest.raises(linalg.NotPositiveDefiniteError) as alone:
+        linalg.spd_factor(stack[2])
+    with pytest.raises(linalg.NotPositiveDefiniteError) as stacked:
+        linalg.spd_factor_stack(stack)
+    assert str(stacked.value) == str(alone.value)
+    # a system that needs a rung is checked as spd_factor checks it
+    stack[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.spd_factor_stack(stack)
+
 
 def test_solve_shape_mismatch():
     f = linalg.spd_factor(np.eye(3))

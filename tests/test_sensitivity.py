@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krigesense import rng
+from krigesense import linalg, rng
 from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
 from krigesense.sensitivity import (FIXED_OMEGA2_CHOICES, DEFAULT_RANGES,
                                     ParamBox, SobolResult, StudyConfig,
@@ -388,6 +388,29 @@ def test_study_prices_each_distinct_correlation_row_once(
                           omega2_value=omega2_value, sample_budget=256,
                           seed=0))
     assert sum(np.size(args[1]) for args in matern_calls) == 4 * 256
+
+
+@pytest.mark.parametrize("dim, seed", [(1, 5), (2, 11)])
+def test_variance_row_factors_each_distinct_system_once(dim, seed,
+                                                        monkeypatch):
+    # the two variance rows of a seed-0 sobol-table benchmark pass (ops 5
+    # and 11, n = 256): A, A_B^rho, A_B^nu, A_B^omega2 and the variance
+    # sample each bring n systems, and A_B^sigma2 repeats A's exactly
+    # because omega2 reaches the system as sampled, not through
+    # tau2 = omega2 * sigma2 and back (1,323 and 1,322 systems that way)
+    factored = []
+    stack_factor = linalg.spd_factor_stack
+
+    def counted(stack):
+        factored.append(len(stack))
+        return stack_factor(stack)
+
+    monkeypatch.setattr(linalg, "spd_factor_stack", counted)
+    run_study(StudyConfig(grid_dimension=dim,
+                          response="prediction_variance",
+                          omega2_mode="varying", include_sigma2=True,
+                          sample_budget=256, seed=seed))
+    assert sum(factored) == 5 * 256
 
 
 # ------------------------------------------------------------ run_study

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent HEAD --pairs 10 --seconds 30 \\
-        --out BENCH_9.json
+        --out BENCH_10.json
 
 The parent commit is exported with ``git archive`` into a temporary
 directory; the change is this checkout's working tree, identified in the
@@ -18,7 +18,9 @@ and metric each side's median and quartiles, how many pairs the change
 won by the direction ``BENCHMARK.json`` declares (ties count for
 neither side), whether the gain rule holds and whether the change's
 median is inside the metric's ``BENCHMARK.json`` bound, which is only
-read.
+read. Next to ``peak_rss_mb`` it records each side's median ops per run:
+the harness keeps every op's output until the run ends, so more ops
+alone raise the peak.
 """
 
 from __future__ import annotations
@@ -112,6 +114,11 @@ def summarize(pairs, metrics) -> dict:
             "gain_rule_holds": wins_rule and gap_rule and gain > 0,
             "within_bound": -gain <= bound * abs(parent["median"]),
         }
+        if name == "peak_rss_mb":
+            out[name]["ops_per_run_median"] = {
+                side: float(np.median([p[side]["attempted"] for p in pairs
+                                       if "metrics" in p[side]]))
+                for side in ("parent", "change")}
     return out
 
 
