@@ -2,7 +2,7 @@
 identifiability via collinearity indices, global Sobol sensitivity of the
 kriging quantities, and a grid-search latent-GP classifier benchmark."""
 
-from .specfun import BesselEval, bessel_k, bessel_k_log
+from .specfun import bessel_k, bessel_k_log
 from .linalg import (NotPositiveDefiniteError, SpdFactor, spd_factor,
                      spd_factor_stack, spd_solve, sym_eigenvalues)
 from .kernel import (LocationSet, MaternParams, ReducedParams,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BesselEval", "bessel_k", "bessel_k_log",
+    "bessel_k", "bessel_k_log",
     "NotPositiveDefiniteError", "SpdFactor", "spd_factor",
     "spd_factor_stack", "spd_solve", "sym_eigenvalues",
     "LocationSet", "MaternParams", "ReducedParams", "kernel_matrix",

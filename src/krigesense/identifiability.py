@@ -211,8 +211,7 @@ def _scan_outputs(points: np.ndarray) -> np.ndarray:
     system = KrigingSystem.build(
         _SCAN_GRID, _SCAN_POINT,
         ReducedParams(rho=rho, nu=nu, omega2=_SCAN_OMEGA2))
-    weights = linalg.spd_solve(system.factor, system.cross)
-    return np.hstack([system.cross, weights])
+    return np.hstack([system.cross[system.rows], system.weights()])
 
 
 def _scan_gammas(thetas: np.ndarray) -> list:

@@ -6,9 +6,10 @@ against the prediction location. Weights and the variance ratio depend on
 (rho, nu, omega2) only; sigma2 returns as an overall factor of the
 variance and tau2 only through omega2 = tau2 / sigma2.
 
-(N,) arrays of (rho, nu, omega2) build a stack of N systems on one layout
-in one pass, pricing each distinct row once; results then carry a
-leading axis of N.
+(N,) arrays of (rho, nu, omega2) build a stack on one layout in one pass
+that holds each distinct system once, factored and solved once; per-row
+results come back through a row -> system map and carry a leading axis
+of N. Scalar parameters build a stack of one.
 """
 
 from __future__ import annotations
@@ -57,19 +58,17 @@ def _as_observations(y, count: int) -> np.ndarray:
 
 
 def _repeated_rows(rho: np.ndarray, nu: np.ndarray, omega2: np.ndarray):
-    """None when every (rho, nu, omega2) row of a stack is distinct.
-    Otherwise ((first, inverse) per distinct (rho, nu), (first, inverse)
-    per distinct row): first indexes one row of each group and
-    inverse maps every row to its group, so rows == rows[first][inverse].
-    One lexsort, then equal neighbors are one group."""
+    """((first, inverse) per distinct (rho, nu), (first, inverse) per
+    distinct (rho, nu, omega2) row) of a stack: first indexes one row of
+    each group and inverse maps every row to its group, so
+    rows == rows[first][inverse]. One lexsort, then equal neighbors are
+    one group."""
     order = np.lexsort((omega2, nu, rho))
     r, v, w = rho[order], nu[order], omega2[order]
     new_pair = np.ones(len(order), dtype=bool)
     new_pair[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
     new_row = new_pair.copy()
     new_row[1:] |= w[1:] != w[:-1]
-    if new_row.all():
-        return None
 
     def groups(starts: np.ndarray) -> tuple:
         inverse = np.empty(len(order), dtype=np.intp)
@@ -81,28 +80,33 @@ def _repeated_rows(rho: np.ndarray, nu: np.ndarray, omega2: np.ndarray):
 
 @dataclass(frozen=True)
 class KrigingSystem:
-    """Factored kriging system(s) shared by the weight and variance paths;
-    for a parameter stack, factor and cross carry a leading axis of N."""
+    """The distinct kriging systems of one parameter row or stack, each
+    factored once, and the row -> system map.
+
+    factor and cross hold one entry per distinct (rho, nu, omega2); rows
+    has the broadcast shape of the parameters (0-d for scalars, (N,) for
+    a stack) and gives each row's system, so a scalar system is a stack
+    of one. weights() and variance() solve each system once and give
+    per-row results through rows.
+    """
 
     train: LocationSet
     pred: np.ndarray
     params: ReducedParams
     factor: linalg.SpdFactor
     cross: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def build(cls, train: LocationSet, pred,
               params: ReducedParams) -> "KrigingSystem":
-        """Price, assemble and factor one system or an (N,) stack of
-        (rho, nu, omega2) rows on one layout.
+        """Price, assemble and factor the distinct systems of one
+        (rho, nu, omega2) row or an (N,) stack of rows on one layout.
 
         Each distinct distance of the layout is priced once per distinct
-        (rho, nu), and each distinct (rho, nu, omega2) is factored once;
-        repeated rows get copies of their group's factor, jitter_used and
-        cross, so the result still has one entry per input row, in input
-        order. Every step works per row, so a row gives the same bits
-        alone, in any stack, or as a repeat. A stack with no repeats is
-        built as it is, without copies.
+        (rho, nu), and each distinct (rho, nu, omega2) is assembled and
+        factored once. Every step works per system, so a row gives the
+        same bits alone, in any stack, or as a repeat.
         """
         pt = _as_point(pred, train.dimension)
         fields = (params.rho, params.nu, params.omega2)
@@ -110,10 +114,8 @@ class KrigingSystem:
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
         if rho.ndim > 1:
             raise ValueError("a parameter stack must be 1-D")
-        repeats = _repeated_rows(rho, nu, omega2)
-        if repeats is not None:
-            (pair_rows, pair_inv), (system_rows, system_inv) = repeats
-            rho, nu = rho[pair_rows], nu[pair_rows]
+        (pair_rows, pair_inv), (system_rows, system_inv) = _repeated_rows(
+            rho, nu, omega2)
         # every distinct distance value of the layout (training points plus
         # the prediction point) is priced once per (rho, nu): the 1-D layout
         # has 420 distances but 54 values, where point pairs would give 230;
@@ -121,33 +123,27 @@ class KrigingSystem:
         n = train.count
         uniq, inv = _distinct(
             cdist(np.vstack([train.points, pt]), train.points))
-        corr = matern_correlation(uniq, rho[:, None], nu[:, None])
-        system_corr = cross_corr = corr
-        if repeats is not None:
-            system_corr = corr[pair_inv[system_rows]]
-            cross_corr = corr[pair_inv]
-            omega2 = omega2[system_rows]
-        systems = np.take(system_corr, inv[:n], axis=1)
-        cross = np.take(cross_corr, inv[n], axis=1)
-        systems[:, np.arange(n), np.arange(n)] += omega2[:, None]
-        factor = linalg.spd_factor_stack(systems)
-        if repeats is not None:
-            factor = linalg.SpdFactor(n, factor.lower[system_inv],
-                                      factor.jitter_used[system_inv])
-        if not any(np.ndim(v) for v in fields):
-            factor = linalg.SpdFactor(n, factor.lower[0],
-                                      float(factor.jitter_used[0]))
-            cross = cross[0]
-        return cls(train=train, pred=pt, params=params, factor=factor,
-                   cross=cross)
+        corr = matern_correlation(uniq, rho[pair_rows, None],
+                                  nu[pair_rows, None])[pair_inv[system_rows]]
+        systems = np.take(corr, inv[:n], axis=1)
+        systems[:, np.arange(n), np.arange(n)] += omega2[system_rows, None]
+        return cls(train=train, pred=pt, params=params,
+                   factor=linalg.spd_factor_stack(systems),
+                   cross=np.take(corr, inv[n], axis=1),
+                   rows=system_inv.reshape(np.broadcast(*fields).shape))
+
+    def weights(self) -> np.ndarray:
+        """(Omega + omega2 I)^{-1} c per row: (n,) for scalar parameters,
+        (N, n) for a stack."""
+        return linalg.spd_solve(self.factor, self.cross)[self.rows]
 
     def variance(self, sigma2):
         """sigma2 (1 - c^T (Omega + omega2 I)^{-1} c), clamped at -1e-10:
         a float for one system, an (N,) array for a stack; sigma2 is a
         scalar or one value per row."""
         solved = linalg.spd_solve(self.factor, self.cross)
-        quad = np.matmul(self.cross[..., None, :], solved[..., :, None])
-        variance = sigma2 * (1.0 - quad[..., 0, 0])
+        quad = np.matmul(self.cross[:, None, :], solved[:, :, None])
+        variance = sigma2 * (1.0 - quad[self.rows, 0, 0])
         if np.any(variance < -1e-10):
             raise ArithmeticError(
                 f"kriging variance {np.min(variance)} below the -1e-10 guard")
@@ -166,8 +162,8 @@ def kriging_weights(train: LocationSet, pred,
                     params: ReducedParams) -> KrigingWeights:
     """Solve (Omega + omega2 I) w = c for the weight vector(s)."""
     system = KrigingSystem.build(train, pred, params)
-    w = linalg.spd_solve(system.factor, system.cross)
-    return KrigingWeights(weights=w, train_ref=train, pred_ref=system.pred)
+    return KrigingWeights(weights=system.weights(), train_ref=train,
+                          pred_ref=system.pred)
 
 
 def predict_mean(weights: KrigingWeights, y):

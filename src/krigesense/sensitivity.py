@@ -286,7 +286,6 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     if base_count < 256:
         raise ValueError(f"base_count must be >= 256, got {base_count}")
     names = list(box.names)
-    p_cont = box.size
     if location_count is not None:
         if location_count < 1:
             raise ValueError("location_count must be >= 1")
@@ -300,8 +299,7 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     highs = np.array([hi for _, _, hi in box.ranges])
 
     def draw_matrix(g: np.random.Generator) -> np.ndarray:
-        cont = g.uniform(lows, highs, size=(n, p_cont)) if p_cont else \
-            np.empty((n, 0))
+        cont = g.uniform(lows, highs, size=(n, box.size))
         if location_count is None:
             return cont
         x_col = g.integers(0, location_count, n).astype(float)
@@ -313,10 +311,7 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     for i in range(p):
         hybrids[i, :, i] = b[:, i]
 
-    if p_cont:
-        var_rows = lhs_sample(n, box, seed)
-    else:
-        var_rows = np.empty((n, 0))
+    var_rows = lhs_sample(n, box, seed)
     if location_count is not None:
         x_col = _balanced_indices(n, location_count, rng.stream(seed, 3))
         var_rows = np.column_stack([var_rows, x_col])

@@ -11,15 +11,13 @@ switches to an ascending series evaluated fully in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import kv, kve
 
 NU_MAX = 50.0
 X_MAX = 700.0
 
-__all__ = ["BesselEval", "bessel_k", "bessel_k_log", "NU_MAX", "X_MAX"]
+__all__ = ["bessel_k", "bessel_k_log", "NU_MAX", "X_MAX"]
 
 
 def _check_domain(nu: float, x: float) -> tuple[float, float]:
@@ -84,26 +82,6 @@ def _log_k_small_x(nu: float, x: float) -> float:
             break
     return (math.lgamma(nu) - math.log(2.0)
             + nu * (math.log(2.0) - math.log(x)) + math.log(series))
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation of K at (order, argument), stored in log space."""
-
-    order: float
-    argument: float
-    log_value: float
-
-    @classmethod
-    def evaluate(cls, nu: float, x: float) -> "BesselEval":
-        return cls(order=float(nu), argument=float(x),
-                   log_value=bessel_k_log(nu, x))
-
-    def value(self) -> float:
-        """Linear-space value; raises OverflowError out of double range."""
-        if self.log_value > 709.78:
-            raise OverflowError("value exceeds the double range")
-        return math.exp(self.log_value)
 
 
 def bessel_k_log_array(nu, x: np.ndarray) -> np.ndarray:

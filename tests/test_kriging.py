@@ -336,7 +336,7 @@ def test_system_factor_shared_by_weight_and_variance_paths():
     params = MaternParams(1.8, 1.2, 0.9, 0.03)
     system = KrigingSystem.build(grid, 0.5, params.reduced())
     w = kriging_weights(grid, 0.5, params.reduced()).weights
-    ratio = 1.0 - float(system.cross @ w)
+    ratio = 1.0 - float(system.cross[system.rows] @ w)
     v = kriging_variance(grid, 0.5, params)
     assert abs(v - params.sigma2 * ratio) < 1e-12
 
@@ -386,8 +386,10 @@ def test_row_built_in_a_stack_equals_row_built_alone():
     for i in range(64):
         alone = KrigingSystem.build(grid, 0.5,
                                     ReducedParams(rho[i], nu[i], omega2[i]))
-        assert np.array_equal(stacked.factor.lower[i], alone.factor.lower)
-        assert np.array_equal(stacked.cross[i], alone.cross)
+        assert np.array_equal(stacked.factor.lower[stacked.rows[i]],
+                              alone.factor.lower[alone.rows])
+        assert np.array_equal(stacked.cross[stacked.rows[i]],
+                              alone.cross[alone.rows])
         w = kriging_weights(grid, 0.5,
                             ReducedParams(rho[i], nu[i], omega2[i])).weights
         assert np.array_equal(weights[i], w)
@@ -423,27 +425,32 @@ def test_stack_with_a_jittered_row_matches_per_system_factors():
     system = KrigingSystem.build(grid, 0.5, ReducedParams(rho, nu, omega2))
     weights = kriging_weights(grid, 0.5,
                               ReducedParams(rho, nu, omega2)).weights
-    assert system.factor.jitter_used.tolist() == [0.0, 0.0, 1e-12, 0.0, 0.0]
+    jitter = system.factor.jitter_used[system.rows]
+    assert jitter.tolist() == [0.0, 0.0, 1e-12, 0.0, 0.0]
     for i in range(5):
         params = ReducedParams(rho[i], nu[i], omega2[i])
         d = np.abs(grid.points - grid.points.T)
         alone = linalg.spd_factor(matern_correlation(d, rho[i], nu[i])
                                   + omega2[i] * np.eye(grid.count))
-        assert system.factor.jitter_used[i] == alone.jitter_used
-        assert np.array_equal(system.factor.lower[i], alone.lower)
+        s = system.rows[i]
+        assert system.factor.jitter_used[s] == alone.jitter_used
+        assert np.array_equal(system.factor.lower[s], alone.lower)
         assert np.array_equal(weights[i],
-                              linalg.spd_solve(alone, system.cross[i]))
+                              linalg.spd_solve(alone, system.cross[s]))
         assert np.array_equal(weights[i],
                               kriging_weights(grid, 0.5, params).weights)
 
 
 def test_scalar_parameters_keep_single_system_shapes():
+    # a scalar system is a stack of one whose 0-d row map gives
+    # single-system results
     grid = make_grid(2, 4)
     system = KrigingSystem.build(grid, [0.5, 0.5],
                                  ReducedParams(1.0, 1.5, 0.01))
-    assert system.factor.lower.shape == (16, 16)
-    assert system.cross.shape == (16,)
-    assert isinstance(system.factor.jitter_used, float)
+    assert system.rows.shape == ()
+    assert system.factor.lower.shape == (1, 16, 16)
+    assert system.weights().shape == (16,)
+    assert isinstance(system.variance(1.0), float)
     v = kriging_variance(grid, [0.5, 0.5], MaternParams(1.0, 1.0, 1.5, 0.01))
     assert isinstance(v, float)
     with pytest.raises(ValueError):
@@ -501,7 +508,7 @@ def test_zero_nugget_system_at_a_training_point_gives_a_unit_weight(
     i = index % count
     system = KrigingSystem.build(LocationSet(pts), pts[i],
                                  ReducedParams(rho, nu, 0.0))
-    w = linalg.spd_solve(system.factor, system.cross)
+    w = system.weights()
     # At rung delta the system is (Omega + delta I) w = Omega e_i, so
     # w = e_i - delta (Omega + delta I)^-1 e_i exactly, a deviation of at
     # most delta / lambda_min(Omega + delta I); the Cholesky solve adds
@@ -509,7 +516,7 @@ def test_zero_nugget_system_at_a_training_point_gives_a_unit_weight(
     # study box these layouts factor at rung 0 (all of 3,000 random
     # draws), where only the roundoff term is left; the error measured at
     # most 0.07 of it over 800 draws on the two study grids.
-    jitter = system.factor.jitter_used
+    jitter = system.factor.jitter_used[system.rows]
     eig = np.linalg.eigvalsh(matern_correlation(cdist(pts, pts), rho, nu)
                              + jitter * np.eye(count))
     tol = (jitter + count * np.finfo(float).eps * eig[-1]) / eig[0]
@@ -544,14 +551,19 @@ def test_repeated_rows_build_as_each_row_alone(seed, extra, jittered, dim):
     weights = kriging_weights(grid, pred, params).weights
     variances = kriging_variance(
         grid, pred, MaternParams(sigma2, rho, nu, omega2 * sigma2))
+    # one factor per distinct row, however often the row repeats
+    assert len(system.factor.lower) == len(set(zip(rho, nu, omega2)))
+    jitter = system.factor.jitter_used[system.rows]
     if jittered and dim == 1:
-        assert np.all(system.factor.jitter_used[nu == 10.0] > 0.0)
+        assert np.all(jitter[nu == 10.0] > 0.0)
     for i in range(len(picks)):
         row = ReducedParams(rho[i], nu[i], omega2[i])
         alone = KrigingSystem.build(grid, pred, row)
-        assert np.array_equal(system.factor.lower[i], alone.factor.lower)
-        assert system.factor.jitter_used[i] == alone.factor.jitter_used
-        assert np.array_equal(system.cross[i], alone.cross)
+        s = system.rows[i]
+        assert np.array_equal(system.factor.lower[s],
+                              alone.factor.lower[alone.rows])
+        assert jitter[i] == alone.factor.jitter_used[alone.rows]
+        assert np.array_equal(system.cross[s], alone.cross[alone.rows])
         assert np.array_equal(weights[i],
                               kriging_weights(grid, pred, row).weights)
         assert variances[i] == kriging_variance(grid, pred, MaternParams(

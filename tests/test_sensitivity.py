@@ -15,6 +15,7 @@ is the open question; the assertion is kept as stated.
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 
 from krigesense import linalg, rng
 from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
+from krigesense.kriging import KrigingSystem
 from krigesense.sensitivity import (FIXED_OMEGA2_CHOICES, DEFAULT_RANGES,
                                     ParamBox, SobolResult, StudyConfig,
                                     UndefinedSharesError, lhs_sample,
@@ -229,6 +231,17 @@ def test_location_factor_column_and_cost():
     assert res.share_of("x") > 90.0
 
 
+def test_location_factor_alone_takes_all_share():
+    # an empty box leaves x as the only input; the continuous columns are
+    # (n, 0) draws that take nothing from the stream
+    res = sobol_total(lambda rows: np.sin(rows[:, 0]) + rows[:, 0],
+                      ParamBox(ranges=()), base_count=256, seed=3,
+                      location_count=7)
+    assert res.inputs == ("x",)
+    assert res.evaluations == 256 * 3
+    assert res.share_of("x") == 100.0
+
+
 def test_sobol_result_shares_and_signs():
     box = ParamBox(ranges=(("a", 0.0, 1.0), ("b", 0.0, 1.0)))
     res = sobol_total(lambda rows: rows[:, 0] * rows[:, 1] + rows[:, 1], box,
@@ -411,6 +424,59 @@ def test_variance_row_factors_each_distinct_system_once(dim, seed,
                           omega2_mode="varying", include_sigma2=True,
                           sample_budget=256, seed=seed))
     assert sum(factored) == 5 * 256
+
+
+# the 12 rows of one sobol-table benchmark pass, as the CLI runs them
+_SOBOL_TABLE = tuple(
+    (dim, response, omega2) for dim in (1, 2)
+    for response, omega2 in (("weights", 0.0), ("weights", 0.001),
+                             ("weights", 0.01), ("weights", 0.1),
+                             ("weights", None),
+                             ("prediction_variance", None)))
+
+
+def test_sobol_table_pass_builds_each_distinct_system_once(monkeypatch):
+    # seed-0, n = 256 pass, op i at seed i: A_B^x repeats A's systems on
+    # the weights rows and A_B^sigma2 on the variance row, so a fixed
+    # omega2 row holds 1,024 systems for 1,280 rows and a varying-omega2
+    # or variance row 1,280 for 1,536; 13,312 for 16,384 in all
+    build = KrigingSystem.build.__func__
+    built = []
+
+    def counted(cls, train, pred, params):
+        system = build(cls, train, pred, params)
+        built[-1] += np.array([system.rows.size, len(system.factor.lower)])
+        return system
+
+    monkeypatch.setattr(KrigingSystem, "build", classmethod(counted))
+    for op, (dim, response, omega2) in enumerate(_SOBOL_TABLE):
+        built.append(np.zeros(2, dtype=int))
+        run_study(StudyConfig(
+            grid_dimension=dim, response=response,
+            omega2_mode="varying" if omega2 is None else "fixed",
+            omega2_value=omega2,
+            include_sigma2=response == "prediction_variance",
+            sample_budget=256, seed=op))
+        want = (1280, 1024) if omega2 is not None else (1536, 1280)
+        assert tuple(built[-1]) == want, (op, built[-1])
+    assert tuple(np.sum(built, axis=0)) == (16384, 13312)
+
+
+def test_weights_study_traced_peak():
+    # one 1-D weights study at omega2 = 0.01, n = 256, seed 0 holds each
+    # distinct system's factor once: 1.60 MB traced peak, where copying
+    # factors back to every repeated row peaked at 2.62 MB (tracemalloc,
+    # numpy 2.4.6)
+    config = StudyConfig(response="weights", omega2_mode="fixed",
+                         omega2_value=0.01, sample_budget=256, seed=0)
+    run_study(config)
+    tracemalloc.start()
+    try:
+        run_study(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_100_000
 
 
 # ------------------------------------------------------------ run_study

@@ -149,16 +149,6 @@ def test_linear_space_overflow_raises():
         specfun.bessel_k(50.0, 1e-8)
 
 
-def test_eval_record_round_trip():
-    ev = specfun.BesselEval.evaluate(1.2, 3.4)
-    assert ev.order == 1.2 and ev.argument == 3.4
-    assert math.isclose(ev.value(), specfun.bessel_k(1.2, 3.4), rel_tol=1e-14)
-    huge = specfun.BesselEval.evaluate(50.0, 1e-8)
-    assert math.isfinite(huge.log_value)
-    with pytest.raises(OverflowError):
-        huge.value()
-
-
 def test_array_log_path_matches_scalar():
     xs = np.array([1e-9, 1e-3, 0.5, 10.0, 300.0])
     for nu in (0.3, 4.0, 35.0):
