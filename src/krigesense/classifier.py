@@ -10,8 +10,9 @@ The search engine batches all per-point local systems: neighbor pairs and
 query-neighbor pairs are deduplicated into one distance table per
 training set, each (nu, rho) combination prices that table once and
 shares it across the omega2 candidates, and the stacked systems go
-through one LU solve per candidate. Below a roundoff-scale nugget each
-system first gets the jitter that linalg.spd_factor's ladder gives it.
+through one LU solve per candidate. Below a roundoff-scale nugget the
+stack is instead factored by linalg's jitter ladder, each system at the
+rung it gets alone, and solved from those factors.
 The fill, the gather into the stack and the solve run in blocks of a
 fixed size that never depends on the worker count, so every output is
 bitwise the same on any machine and at any pool size. Each grid_search,
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import linalg, rng
-from .kernel import MaternParams, ReducedParams, _check_params, _distinct, \
-    matern_correlation, matern_covariance
+from .kernel import MaternParams, ReducedParams, _check_params, _distances, \
+    _distinct, matern_correlation, matern_covariance
 from .kriging import _nearest
 
 __all__ = [
@@ -57,8 +57,8 @@ _FIXED_RHO = 2.5
 _FIXED_OMEGA2 = 0.01
 _SUBSETS = ("nu_only", "nu_rho", "all")
 
-# below this nugget ratio the stacked systems get an explicit
-# positive-definiteness probe before the batched solve
+# below this nugget ratio the stacked systems are factored by linalg's
+# jitter ladder, and solved from those factors, in place of the LU solve
 _PD_PROBE_BELOW = 1e-6
 
 # work per pool task: the fill prices this many distances, the gather and
@@ -170,7 +170,9 @@ def synth_dataset(m: int, q: int, seed: int,
     norm); the latent field is one draw from the GENERATOR_PARAMS Matern
     model over those features. Labels split the latent values at their
     median, which centers the draw and leaves exactly m/2 points per
-    class.
+    class. Building the m x m covariance holds at most three tables of
+    its size: the distances, the covariance (filled and scaled in place)
+    and one scratch table.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -182,7 +184,7 @@ def synth_dataset(m: int, q: int, seed: int,
         if not np.all(norms > 0.0):
             raise ArithmeticError("zero-norm feature row")
         feats = feats / norms
-    cov = matern_covariance(cdist(feats, feats), GENERATOR_PARAMS)
+    cov = matern_covariance(_distances(feats, feats), GENERATOR_PARAMS)
     factor = linalg.spd_factor(cov)
     latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
@@ -221,6 +223,30 @@ def _in_chunks(pool: ThreadPoolExecutor, task: Callable[[int, int], None],
         future.result()
 
 
+def _pair_keys(nb: np.ndarray, query_ids: np.ndarray, span: int,
+               pool: ThreadPoolExecutor) -> np.ndarray:
+    """int64 keys min * span + max of every system's neighbor pairs, then
+    of every (query, neighbor) cross pair, written in place block by
+    block. No view of the table outlives this call, so it is freed as
+    soon as the caller drops it."""
+    nq, k = nb.shape
+    keys = np.empty(nq * k * (k + 1), dtype=np.int64)
+    pair_keys = keys[:nq * k * k].reshape(nq, k, k)
+    cross_keys = keys[nq * k * k:].reshape(nq, k)
+
+    def key(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(np.minimum(a, b), span, out=out)
+        out += np.maximum(a, b)
+
+    def build_keys(start: int, stop: int) -> None:
+        block = nb[start:stop]
+        key(block[:, :, None], block[:, None, :], pair_keys[start:stop])
+        key(query_ids[start:stop, None], block, cross_keys[start:stop])
+
+    _in_chunks(pool, build_keys, nq, _SYSTEMS_PER_CHUNK)
+    return keys
+
+
 class _LocalPlan:
     """Precomputed neighbor structure for a (train, query, k) triple.
 
@@ -233,7 +259,9 @@ class _LocalPlan:
     first in that one key space and deduplicated by kernel._distinct, so
     every distinct pair, of either kind, is priced once per (nu, rho).
     Keys, not distance values, are deduplicated: that needs only the
-    distinct pairs' distances, never all of them and a sort.
+    distinct pairs' distances, never all of them and a sort. The int64 key
+    table is dropped before the system buffers are allocated, so the two
+    never coexist.
 
     Everything that does not depend on (nu, rho, omega2) happens here
     once. correlation(rho, nu) is one Matern fill over the distance table
@@ -242,8 +270,9 @@ class _LocalPlan:
     candidate shares one fill. The fill, the gather and the solve run on
     `pool`, which the caller keeps open for one whole search, in fixed
     blocks (_VALUES_PER_CHUNK distances or _SYSTEMS_PER_CHUNK systems), so
-    the outputs are bitwise the same for any worker count. A nugget below
-    _PD_PROBE_BELOW first takes each system's jitter from linalg's ladder.
+    the outputs are bitwise the same for any worker count. Below
+    _PD_PROBE_BELOW the stack is factored by linalg's jitter ladder and
+    solved from those factors instead.
     """
 
     def __init__(self, train: LabeledSet, query_features: np.ndarray,
@@ -260,24 +289,8 @@ class _LocalPlan:
             query_ids = m + np.arange(nq)
         span = points.shape[0]
 
-        # pair keys of all systems, then cross keys, written in place block
-        # by block so no full-size temporary exists
-        keys = np.empty(nq * k * (k + 1), dtype=np.int64)
-        pair_keys = keys[:nq * k * k].reshape(nq, k, k)
-        cross_keys = keys[nq * k * k:].reshape(nq, k)
-
-        def key(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(np.minimum(a, b), span, out=out)
-            out += np.maximum(a, b)
-
-        def build_keys(start: int, stop: int) -> None:
-            block = nb[start:stop]
-            key(block[:, :, None], block[:, None, :], pair_keys[start:stop])
-            key(query_ids[start:stop, None], block, cross_keys[start:stop])
-
-        _in_chunks(pool, build_keys, nq, _SYSTEMS_PER_CHUNK)
-        unique_keys, inverse = _distinct(keys)
-        del keys
+        unique_keys, inverse = _distinct(
+            _pair_keys(nb, query_ids, span, pool))
         diff = points[unique_keys // span] - points[unique_keys % span]
         self.pair_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         self.pair_inv = inverse[:nq * k * k].reshape(nq, k, k)
@@ -317,15 +330,13 @@ class _LocalPlan:
         The correlation diagonal is exactly 1, so the system diagonal is
         rewritten to 1 + omega2 in place for each candidate. The systems
         are positive definite by construction once omega2 clears roundoff
-        scale; below _PD_PROBE_BELOW, linalg.spd_factor_stack probes the
-        stack and each system's diagonal gets the jitter that linalg's
-        ladder gives that system alone.
+        scale and go through blocked LU solves; below _PD_PROBE_BELOW,
+        linalg.spd_factor_stack factors the stack, each system with the
+        jitter linalg's ladder gives it alone, and linalg.spd_solve solves
+        from those factors.
         """
         systems, diag = self.systems, self._diag
         systems[:, diag, diag] = 1.0 + omega2
-        if omega2 < _PD_PROBE_BELOW:
-            jitter = linalg.spd_factor_stack(systems).jitter_used
-            systems[:, diag, diag] += jitter[:, None]
         solved = self._solved
 
         def solve(start: int, stop: int) -> None:
@@ -333,7 +344,11 @@ class _LocalPlan:
                 systems[start:stop],
                 self.neighbor_labels[start:stop, :, None])[:, :, 0]
 
-        _in_chunks(self._pool, solve, len(solved), _SYSTEMS_PER_CHUNK)
+        if omega2 < _PD_PROBE_BELOW:
+            solved[:] = linalg.spd_solve(linalg.spd_factor_stack(systems),
+                                         self.neighbor_labels)
+        else:
+            _in_chunks(self._pool, solve, len(solved), _SYSTEMS_PER_CHUNK)
         return np.einsum("nk,nk->n", self.cross, solved)
 
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import linalg
-from .kernel import (LocationSet, MaternParams, ReducedParams, _distinct,
-                     kernel_matrix, matern_correlation)
+from .kernel import (LocationSet, MaternParams, ReducedParams, _distances,
+                     _distinct, kernel_matrix, matern_correlation)
 
 __all__ = [
     "KrigingSystem",
@@ -122,7 +121,7 @@ class KrigingSystem:
         # the diagonal distances are exactly 0
         n = train.count
         uniq, inv = _distinct(
-            cdist(np.vstack([train.points, pt]), train.points))
+            _distances(np.vstack([train.points, pt]), train.points))
         corr = matern_correlation(uniq, rho[pair_rows, None],
                                   nu[pair_rows, None])[pair_inv[system_rows]]
         systems = np.take(corr, inv[:n], axis=1)
@@ -213,7 +212,7 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
     limit = len(points) - exclude_self
     if not 1 <= k <= limit:
         raise ValueError(f"k must be in [1, {limit}], got {k}")
-    order = np.argsort(cdist(queries, points), axis=1, kind="stable")
+    order = np.argsort(_distances(queries, points), axis=1, kind="stable")
     if exclude_self:
         nq = order.shape[0]
         order = order[order != np.arange(nq)[:, None]].reshape(nq, -1)

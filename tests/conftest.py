@@ -5,12 +5,14 @@ run repeats the same examples; no deadline, because host speed drifts
 from run to run; and a bounded example count. The cli_child fixture runs
 a subcommand in a child process, optionally narrowed to one core, which
 is how the CLI tests vary the real pool size. The matern_calls fixture
-counts correlation fills wherever in the package they come from.
+counts correlation fills wherever in the package they come from, and the
+traced_peak fixture measures a call's peak of traced allocations.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -69,3 +71,21 @@ def matern_calls(monkeypatch):
                 is matern_correlation):
             monkeypatch.setattr(module, "matern_correlation", counted)
     return calls
+
+
+def _traced_peak(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(call) runs call() once untraced, so lazy set-up and caches are
+    paid, then once more under tracemalloc, and returns that run's peak of
+    traced allocations in bytes (numpy's arrays are traced)."""
+    return _traced_peak

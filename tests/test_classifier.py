@@ -55,6 +55,13 @@ def test_synth_normalized_rows():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+def test_synth_dataset_traced_peak(traced_peak):
+    # the 1200 x 1200 covariance is filled and scaled in place on the
+    # distance table: 34.6 MB traced peak, where the closed form's and the
+    # sigma2 scale's copies peaked at 69.1 MB (tracemalloc, numpy 2.4.6)
+    assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 40_000_000
+
+
 def test_synth_validation():
     with pytest.raises(ValueError):
         synth_dataset(11, 2, seed=0)
@@ -264,6 +271,17 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
     assert np.array_equal(plan.neighbor_labels, train.labels[nb])
 
 
+def test_local_plan_init_traced_peak(traced_peak):
+    # the int64 pair-key table (16.3 MB at m=800, k=50) is freed before the
+    # (800, 50, 50) system buffer is allocated: 27.9 MB traced peak, where
+    # holding both peaked at 44.2 MB (tracemalloc, numpy 2.4.6, 2 workers)
+    train = synth_dataset(800, 2, seed=1)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        peak = traced_peak(lambda: classifier._LocalPlan(
+            train, train.features, 50, exclude_self=True, pool=pool))
+    assert peak < 32_000_000
+
+
 def rung_mix_set() -> LabeledSet:
     """A spread 5 x 5 lattice plus two 12-point lines, spacings 0.2 and
     0.02: at k=8, (nu, rho) = (5, 1) and no nugget, 6 of the 49
@@ -288,11 +306,13 @@ def test_pd_probe_gives_each_system_its_own_rung(chunks, monkeypatch):
         plan.correlation(rho, nu)
         systems, cross = plan.systems.copy(), plan.cross.copy()
         got = plan.latent_means(0.0)
-    jitter = np.array([linalg.spd_factor(s).jitter_used for s in systems])
+    # each system is factored and solved as it is alone
+    alone = [linalg.spd_factor(s) for s in systems]
+    jitter = np.array([f.jitter_used for f in alone])
     assert np.count_nonzero(jitter == 0.0) == 43
     assert np.count_nonzero(jitter == 1e-12) == 6
-    solved = np.linalg.solve(systems + jitter[:, None, None] * np.eye(k),
-                             plan.neighbor_labels[..., None])[..., 0]
+    solved = np.array([linalg.spd_solve(f, y)
+                       for f, y in zip(alone, plan.neighbor_labels)])
     assert np.array_equal(got, np.einsum("nk,nk->n", cross, solved))
 
 

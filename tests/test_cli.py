@@ -3,10 +3,14 @@
 import csv
 import datetime
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import krigesense
 from krigesense.cli import main
 from krigesense.identifiability import band_of
 from krigesense.kernel import matern_correlation
@@ -33,6 +37,19 @@ def read_manifest(csv_path):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    # distances come from kernel's numpy helper, so a fresh process that
+    # imports the command line never loads scipy.spatial (which brings in
+    # scipy.linalg and scipy.sparse)
+    src = os.path.dirname(os.path.dirname(krigesense.__file__))
+    code = ("import sys, krigesense.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy.spatial' or m.startswith('scipy.spatial.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=120).stdout
+    assert out.split() == ["[]"]
 
 
 def test_unknown_subcommand_and_flag(capsys):

@@ -1,7 +1,6 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
 import math
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -380,18 +379,11 @@ def test_scan_cells_do_not_depend_on_rows_per_block(res, box, monkeypatch):
         assert "nan" in " ".join(want[0])
 
 
-def test_small_scan_traced_peak_below_one_default_row():
+def test_small_scan_traced_peak_below_one_default_row(traced_peak):
     # a res-12 scan is priced in blocks of six rows (72 cells); its traced
     # peak stays below the 2.89 MB the row-by-row scan peaked at for one
     # 100-cell row of the default scan (tracemalloc, numpy 2.4.6)
-    collinearity_scan(resolution=2)
-    tracemalloc.start()
-    try:
-        collinearity_scan(resolution=12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_890_000
+    assert traced_peak(lambda: collinearity_scan(resolution=12)) < 2_890_000
 
 
 def test_scan_curve_equals_the_separate_correlation_call():

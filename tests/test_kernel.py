@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.spatial.distance import cdist
 from scipy.special import kve
 
 from krigesense import linalg
-from krigesense.kernel import (_LUT_KEYS, LocationSet, MaternParams,
-                               ReducedParams, _distinct, kernel_matrix,
-                               make_grid, matern_correlation,
-                               matern_covariance)
+from krigesense.kernel import (_CLOSED_FORMS, _LUT_KEYS, LocationSet,
+                               MaternParams, ReducedParams, _distances,
+                               _distinct, kernel_matrix, make_grid,
+                               matern_correlation, matern_covariance)
 from oracles import bessel_k_quadrature, charpoly_eigenvalues
 
 
@@ -127,6 +128,77 @@ def test_stacked_correlation_equals_row_by_row_calls():
     # one stacked row against a scalar distance keeps scalar semantics
     assert matern_correlation(0.3, 1.0, 0.7) == float(
         matern_correlation(0.3, np.array([1.0]), np.array([0.7]))[0])
+
+
+def textbook_closed_form(half, a):
+    """The half-integer Matern correlations as written, one new array per
+    operation."""
+    if half == 0.5:
+        return np.exp(-a)
+    if half == 1.5:
+        return (1.0 + a) * np.exp(-a)
+    return (1.0 + a + a * a / 3.0) * np.exp(-a)
+
+
+@pytest.mark.parametrize("half", [0.5, 1.5, 2.5])
+def test_in_place_closed_forms_equal_textbook_expressions(half):
+    rng = np.random.default_rng(17)
+    a = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6], rng.uniform(0.0, 8.0, 300),
+                        rng.uniform(8.0, 800.0, 40)])
+    # 1-D and 0-d arrays, each overwritten and returned
+    want = textbook_closed_form(half, a)
+    work = a.copy()
+    got = _CLOSED_FORMS[half](work)
+    assert got is work and got.tobytes() == want.tobytes()
+    for value, expected in zip(a[::7], want[::7]):
+        work = np.array(value)
+        got = _CLOSED_FORMS[half](work)
+        assert got is work and got.ndim == 0
+        assert got.tobytes() == np.float64(expected).tobytes()
+    # matern_correlation: the textbook value of its own scaled distance,
+    # clipped to [0, 1] and exactly 1 at d = 0, for a scalar distance, a
+    # distance vector, and (N, 1) rows that mix the forms with other orders
+    d = np.concatenate([[0.0, 1e-12], rng.uniform(0.0, 6.0, 60)])
+    rho = np.array([0.7, 2.0, 0.05, 1.3, 0.7])
+    nu = np.array([half, half, half, 0.8, 0.5 if half != 0.5 else 1.5])
+
+    def reference(r, n):
+        scaled = (np.sqrt(2.0 * np.float64(n)) / r) * d
+        out = np.clip(textbook_closed_form(n, scaled), 0.0, 1.0)
+        out[d == 0.0] = 1.0
+        return out
+
+    for r in rho[:3]:
+        assert matern_correlation(d, r, half).tobytes() == \
+            reference(r, half).tobytes()
+        for i in (0, 5, 17):
+            assert matern_correlation(float(d[i]), r, half) == \
+                reference(r, half)[i]
+    stacked = matern_correlation(d, rho[:, None], nu[:, None])
+    for row, (r, n) in enumerate(zip(rho, nu)):
+        if n in _CLOSED_FORMS:
+            assert stacked[row].tobytes() == reference(r, n).tobytes()
+        assert stacked[row].tobytes() == matern_correlation(d, r, n).tobytes()
+
+
+_COORDINATE = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0])
+
+
+@given(q=st.integers(1, 8), rows=st.tuples(st.integers(1, 9),
+                                           st.integers(1, 9)),
+       scales=st.lists(st.integers(-8, 6), min_size=8, max_size=8),
+       data=st.data())
+def test_distances_equal_cdist_bitwise(q, rows, scales, data):
+    # scipy's cdist stays the independent reference: every entry, including
+    # exact zeros between shared rows, must carry cdist's bits
+    scale = 10.0 ** np.array(scales[:q], dtype=float)
+    a = data.draw(arrays(np.float64, (rows[0], q), elements=_COORDINATE))
+    b = data.draw(arrays(np.float64, (rows[1], q), elements=_COORDINATE))
+    a, b = a * scale, b * scale
+    b[0] = a[-1]
+    got = _distances(a, b)
+    assert got.shape == (rows[0], rows[1])
+    assert got.tobytes() == cdist(a, b).tobytes()
 
 
 def test_stacked_parameters_validated_elementwise():

@@ -15,7 +15,6 @@ is the open question; the assertion is kept as stated.
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -462,21 +461,14 @@ def test_sobol_table_pass_builds_each_distinct_system_once(monkeypatch):
     assert tuple(np.sum(built, axis=0)) == (16384, 13312)
 
 
-def test_weights_study_traced_peak():
+def test_weights_study_traced_peak(traced_peak):
     # one 1-D weights study at omega2 = 0.01, n = 256, seed 0 holds each
     # distinct system's factor once: 1.60 MB traced peak, where copying
     # factors back to every repeated row peaked at 2.62 MB (tracemalloc,
     # numpy 2.4.6)
     config = StudyConfig(response="weights", omega2_mode="fixed",
                          omega2_value=0.01, sample_budget=256, seed=0)
-    run_study(config)
-    tracemalloc.start()
-    try:
-        run_study(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_100_000
+    assert traced_peak(lambda: run_study(config)) < 2_100_000
 
 
 # ------------------------------------------------------------ run_study
