@@ -62,7 +62,8 @@ _SUBSETS = ("nu_only", "nu_rho", "all")
 _PD_PROBE_BELOW = 1e-6
 
 # work per pool task: the fill prices this many distances, the gather and
-# the solve handle this many local systems
+# the solve handle this many local systems; synth_dataset's covariance fill
+# takes rows in blocks of about this many values too
 _VALUES_PER_CHUNK = 16384
 _SYSTEMS_PER_CHUNK = 50
 
@@ -170,9 +171,9 @@ def synth_dataset(m: int, q: int, seed: int,
     norm); the latent field is one draw from the GENERATOR_PARAMS Matern
     model over those features. Labels split the latent values at their
     median, which centers the draw and leaves exactly m/2 points per
-    class. Building the m x m covariance holds at most three tables of
-    its size: the distances, the covariance (filled and scaled in place)
-    and one scratch table.
+    class. The m x m covariance is filled in blocks of whole rows, about
+    _VALUES_PER_CHUNK entries each, so the fill holds no second table of
+    its size; each entry carries the bits a whole-table fill gives it.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -184,7 +185,12 @@ def synth_dataset(m: int, q: int, seed: int,
         if not np.all(norms > 0.0):
             raise ArithmeticError("zero-norm feature row")
         feats = feats / norms
-    cov = matern_covariance(_distances(feats, feats), GENERATOR_PARAMS)
+    cov = np.empty((m, m))
+    block = max(1, _VALUES_PER_CHUNK // m)
+    for start in range(0, m, block):
+        rows = slice(start, start + block)
+        cov[rows] = matern_covariance(_distances(feats[rows], feats),
+                                      GENERATOR_PARAMS)
     factor = linalg.spd_factor(cov)
     latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)

@@ -81,15 +81,9 @@ def _cmd_weights(args: argparse.Namespace) -> Dict[str, Any]:
     params = ReducedParams(rho=args.rho, nu=args.nu, omega2=args.omega2)
     train, point = study_grid(args.dim)
     weights = kriging_weights(train, point, params).weights
-    if args.dim == 1:
-        header = ["location", "weight"]
-        rows = [(_fmt(pt[0]), _fmt(w))
-                for pt, w in zip(train.points, weights)]
-    else:
-        header = ["x1", "x2", "weight"]
-        rows = [(_fmt(pt[0]), _fmt(pt[1]), _fmt(w))
-                for pt, w in zip(train.points, weights)]
-    _write_csv(args.out, header, rows)
+    header = ["location"] if args.dim == 1 else ["x1", "x2"]
+    rows = [(*map(_fmt, pt), _fmt(w)) for pt, w in zip(train.points, weights)]
+    _write_csv(args.out, header + ["weight"], rows)
     return {"outputs": [args.out]}
 
 
@@ -212,3 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     _write_manifest(args, started, fields)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,8 +2,8 @@
 
 The correlation follows the sqrt(2 nu) d / rho argument convention inside
 both the power term and the Bessel term. Half-integer smoothness values
-use their closed forms, evaluated in place on the scaled distances;
-every other order goes through the log-space Bessel path so the
+use their textbook closed forms, each filling the rows whose order it
+matches; every other order goes through the log-space Bessel path so the
 Gamma(nu) / 2^(nu-1) prefactor cannot overflow at small nu or tiny
 distance. Pairwise Euclidean distances come from one numpy helper that
 forms the same sum as scipy.spatial's cdist, so the package needs only
@@ -144,38 +144,11 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-# the half-integer closed forms exp(-a), (1 + a) exp(-a) and
-# (1 + a + a^2 / 3) exp(-a), each rounded as that expression rounds but
-# computed in place: a is overwritten with the correlation and returned
-def _nu_half(a: np.ndarray) -> np.ndarray:
-    np.negative(a, out=a)
-    return np.exp(a, out=a)
-
-
-def _decay(a: np.ndarray) -> np.ndarray:
-    # exp(-a) in one new array of a's shape, a 0-d one included
-    decay = np.negative(a, out=np.empty_like(a))
-    return np.exp(decay, out=decay)
-
-
-def _nu_three_halves(a: np.ndarray) -> np.ndarray:
-    decay = _decay(a)
-    a += 1.0
-    a *= decay
-    return a
-
-
-def _nu_five_halves(a: np.ndarray) -> np.ndarray:
-    decay = _decay(a)
-    square = a * a
-    square /= 3.0
-    a += 1.0
-    a += square
-    a *= decay
-    return a
-
-
-_CLOSED_FORMS = {0.5: _nu_half, 1.5: _nu_three_halves, 2.5: _nu_five_halves}
+_CLOSED_FORMS = {
+    0.5: lambda a: np.exp(-a),
+    1.5: lambda a: (1.0 + a) * np.exp(-a),
+    2.5: lambda a: (1.0 + a + a * a / 3.0) * np.exp(-a),
+}
 
 # math.lgamma per parameter value: scipy's gammaln can differ from it in
 # the last bit, and a stacked call must equal the scalar calls
@@ -200,29 +173,24 @@ def matern_correlation(d, rho, nu):
     rho and nu may be arrays that broadcast against d, such as (N, 1)
     parameter rows over (U,) distances. Each element gets the formula its
     own nu selects, so a stacked call equals the row-by-row calls bitwise.
-    When one closed form covers every row, it is computed in place on the
-    scaled distances and no second table of the result's size exists;
-    only rows that mix formulas allocate one.
+    The result is a new array, and each formula fills its own elements by
+    mask through a few temporaries of their size, so a caller bounds a
+    large fill by calling on blocks of distances.
     """
     rho, nu = _check_params(rho=rho, nu=nu)
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("distances must be finite and >= 0")
 
-    # an array even when 0-d, so the closed forms can work in place
-    a = np.asarray((np.sqrt(2.0 * nu) / rho) * arr)
-    forms = [(form, np.abs(nu - half) <= _HALF_INTEGER_TOL)
-             for half, form in _CLOSED_FORMS.items()]
-    general = ~np.any([rows for _, rows in forms], axis=0)
-    whole = [form for form, rows in forms if rows.all()]
-    if whole:
-        out = whole[0](a)
-    else:
-        out = np.ones(a.shape)
-        for form, rows in forms:
-            if rows.any():
-                pick = np.broadcast_to(rows, a.shape)
-                out[pick] = form(a[pick])
+    a = (np.sqrt(2.0 * nu) / rho) * arr
+    out = np.ones(a.shape)
+    general = np.ones(nu.shape, dtype=bool)
+    for half, form in _CLOSED_FORMS.items():
+        rows = np.abs(nu - half) <= _HALF_INTEGER_TOL
+        general &= ~rows
+        if rows.any():
+            pick = np.broadcast_to(rows, a.shape)
+            out[pick] = form(a[pick])
     if general.any():
         # leading small-argument behavior 1 - Gamma(1-nu)/Gamma(1+nu)
         # (a/2)^(2 nu) for nu < 1; above that the correction is O(a^2)
@@ -246,8 +214,7 @@ def matern_correlation(d, rho, nu):
 
 
 def matern_covariance(d, params: MaternParams):
-    """sigma2 * correlation + tau2 exactly at d = 0 (scalar or array);
-    the correlation is scaled in place."""
+    """sigma2 * correlation + tau2 exactly at d = 0 (scalar or array)."""
     arr = np.asarray(d, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)

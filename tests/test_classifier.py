@@ -7,13 +7,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from krigesense import classifier, linalg, rng
 from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
-from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
+from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
+                               _distances, matern_correlation,
+                               matern_covariance)
 from krigesense.kriging import kriging_weights
 
 TRUE_PARAMS = GENERATOR_PARAMS.reduced()
@@ -55,11 +59,30 @@ def test_synth_normalized_rows():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+@given(q=st.integers(2, 5), block=st.sampled_from([1, 7, None]),
+       general=st.booleans(), data=st.data())
+def test_covariance_row_blocks_equal_whole_table_rows(q, block, general,
+                                                      data):
+    # synth_dataset fills its covariance a block of rows at a time; every
+    # block must carry the bits of the same rows of a whole-table fill,
+    # for the generator's closed form and a general order with a nugget
+    params = (MaternParams(sigma2=1.7, rho=0.4, nu=1.3, tau2=0.2)
+              if general else GENERATOR_PARAMS)
+    m = data.draw(st.integers(1, 30))
+    x = data.draw(arrays(np.float64, (m, q), elements=st.floats(0.0, 1.0)))
+    whole = matern_covariance(_distances(x, x), params)
+    block = block or m
+    for start in range(0, m, block):
+        rows = slice(start, start + block)
+        got = matern_covariance(_distances(x[rows], x), params)
+        assert got.tobytes() == whole[rows].tobytes()
+
+
 def test_synth_dataset_traced_peak(traced_peak):
-    # the 1200 x 1200 covariance is filled and scaled in place on the
-    # distance table: 34.6 MB traced peak, where the closed form's and the
-    # sigma2 scale's copies peaked at 69.1 MB (tracemalloc, numpy 2.4.6)
-    assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 40_000_000
+    # the 1200 x 1200 covariance is filled a block of rows at a time into
+    # one table, and spd_factor adds its factor: 23.1 MB traced peak,
+    # where a whole-table fill peaked at 34.6 MB (tracemalloc, numpy 2.4.6)
+    assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 26_000_000
 
 
 def test_synth_validation():

@@ -58,6 +58,25 @@ def test_unknown_subcommand_and_flag(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_runs_main(tmp_path):
+    # `python -m krigesense.cli` writes the CSV main() writes, and passes
+    # main's exit code on: 2 for a bad flag
+    src = os.path.dirname(os.path.dirname(krigesense.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*flags):
+        return subprocess.run([sys.executable, "-m", "krigesense.cli",
+                               *flags], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=120).returncode
+
+    assert run("weights", "--dim", "2", "--out", "child.csv") == 0
+    assert main(["weights", "--dim", "2",
+                 "--out", str(tmp_path / "main.csv")]) == 0
+    assert ((tmp_path / "child.csv").read_bytes()
+            == (tmp_path / "main.csv").read_bytes())
+    assert run("weights", "--wavelength", "3") == 2
+
+
 # -------------------------------------------------------------- weights
 
 
