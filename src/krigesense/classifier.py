@@ -8,17 +8,18 @@ shared splits to expose the cost/accuracy trade.
 
 The search engine batches all per-point local systems: neighbor pairs and
 query-neighbor pairs are deduplicated into one distance table per
-training set, each (nu, rho) combination prices that table once and
-shares it across the omega2 candidates, and the stacked systems go
-through one LU solve per candidate. Below a roundoff-scale nugget the
-stack is instead factored by linalg's jitter ladder, each system at the
-rung it gets alone, and solved from those factors.
-The fill, the gather into the stack and the solve run in blocks of a
-fixed size that never depends on the worker count, so every output is
-bitwise the same on any machine and at any pool size. Each grid_search,
-classify or loo_accuracy call opens its own thread pool, sized to the
-cores in the process's CPU affinity mask, and shuts it down before
-returning, so no thread outlives the call.
+training set, and each (nu, rho) combination prices that table once.
+Each block of local systems is then gathered from those values once and
+solved for every omega2 candidate of that (nu, rho), by LU; below a
+roundoff-scale nugget the block is instead factored by linalg's jitter
+ladder, each system at the rung it gets alone, and solved from those
+factors. No stack of all the systems is held, only one block per worker.
+The fill and the gather-and-solve run in blocks of a fixed size that
+never depends on the worker count, so every output is bitwise the same
+on any machine and at any pool size. Each grid_search, classify or
+loo_accuracy call opens its own thread pool, sized to the cores in the
+process's CPU affinity mask, and shuts it down before returning, so no
+thread outlives the call.
 Candidates are scored one after another.
 """
 
@@ -62,7 +63,7 @@ _SUBSETS = ("nu_only", "nu_rho", "all")
 _PD_PROBE_BELOW = 1e-6
 
 # work per pool task: the fill prices this many distances, the gather and
-# the solve handle this many local systems; synth_dataset's covariance fill
+# solve handles this many local systems; synth_dataset's covariance fill
 # takes rows in blocks of about this many values too
 _VALUES_PER_CHUNK = 16384
 _SYSTEMS_PER_CHUNK = 50
@@ -174,6 +175,10 @@ def synth_dataset(m: int, q: int, seed: int,
     class. The m x m covariance is filled in blocks of whole rows, about
     _VALUES_PER_CHUNK entries each, so the fill holds no second table of
     its size; each entry carries the bits a whole-table fill gives it.
+    The covariance is then factored in place, with the bits
+    linalg.spd_factor gives it: its 0.01 nugget keeps every eigenvalue
+    above the jitter ladder's rungs, so rung 0 must succeed, and
+    NotPositiveDefiniteError is raised if it does not.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -191,8 +196,10 @@ def synth_dataset(m: int, q: int, seed: int,
         rows = slice(start, start + block)
         cov[rows] = matern_covariance(_distances(feats[rows], feats),
                                       GENERATOR_PARAMS)
-    factor = linalg.spd_factor(cov)
-    latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
+    if linalg._failed(linalg._cholesky_or_nan(cov[None], out=cov[None]))[0]:
+        raise linalg.NotPositiveDefiniteError(
+            "generator covariance did not factor at jitter rung 0")
+    latent = cov @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
     return LabeledSet(features=feats, labels=labels)
 
@@ -231,12 +238,13 @@ def _in_chunks(pool: ThreadPoolExecutor, task: Callable[[int, int], None],
 
 def _pair_keys(nb: np.ndarray, query_ids: np.ndarray, span: int,
                pool: ThreadPoolExecutor) -> np.ndarray:
-    """int64 keys min * span + max of every system's neighbor pairs, then
-    of every (query, neighbor) cross pair, written in place block by
-    block. No view of the table outlives this call, so it is freed as
-    soon as the caller drops it."""
+    """Keys min * span + max of every system's neighbor pairs, then of
+    every (query, neighbor) cross pair, written in place block by block:
+    int32 while span**2 fits, int64 beyond. No view of the table
+    outlives this call, so it is freed as soon as the caller drops it."""
     nq, k = nb.shape
-    keys = np.empty(nq * k * (k + 1), dtype=np.int64)
+    dtype = np.int32 if span * span < 2 ** 31 else np.int64
+    keys = np.empty(nq * k * (k + 1), dtype=dtype)
     pair_keys = keys[:nq * k * k].reshape(nq, k, k)
     cross_keys = keys[nq * k * k:].reshape(nq, k)
 
@@ -258,27 +266,25 @@ class _LocalPlan:
 
     Holds the k-nearest-neighbor table (kriging's neighbor rule: ties by
     lower training index), one deduplicated table of point-pair distances
-    with int32 gather maps into it, the stacked neighbor labels, and
-    reusable buffers. Points are the training rows plus m + i for held-out
-    query i; a leave-one-out query is its own training row. Neighbor pairs
-    (j, l) and cross pairs (query i, neighbor j) are both keyed min-index
-    first in that one key space and deduplicated by kernel._distinct, so
-    every distinct pair, of either kind, is priced once per (nu, rho).
-    Keys, not distance values, are deduplicated: that needs only the
-    distinct pairs' distances, never all of them and a sort. The int64 key
-    table is dropped before the system buffers are allocated, so the two
-    never coexist.
+    with int32 gather maps into it, the stacked neighbor labels, and one
+    buffer for the correlations of that table. Points are the training
+    rows plus m + i for held-out query i; a leave-one-out query is its own
+    training row. Neighbor pairs (j, l) and cross pairs (query i, neighbor
+    j) are both keyed min-index first in that one key space and
+    deduplicated by kernel._distinct, so every distinct pair, of either
+    kind, is priced once per (nu, rho). Keys, not distance values, are
+    deduplicated: that needs only the distinct pairs' distances, never all
+    of them and a sort.
 
     Everything that does not depend on (nu, rho, omega2) happens here
-    once. correlation(rho, nu) is one Matern fill over the distance table
-    and one gather into the (nq, k, k) `systems` and (nq, k) `cross`
-    buffers; latent_means(omega2) then solves that stack, so every omega2
-    candidate shares one fill. The fill, the gather and the solve run on
-    `pool`, which the caller keeps open for one whole search, in fixed
-    blocks (_VALUES_PER_CHUNK distances or _SYSTEMS_PER_CHUNK systems), so
-    the outputs are bitwise the same for any worker count. Below
-    _PD_PROBE_BELOW the stack is factored by linalg's jitter ladder and
-    solved from those factors instead.
+    once. correlation(rho, nu) is one Matern fill over the distance
+    table; latent_means(omega2) then gathers each block of systems from
+    that fill and solves it for every omega2 asked, so every omega2
+    candidate shares one fill and one gather. No (nq, k, k) stack is ever
+    held. The fill and the blocks run on `pool`, which the caller keeps
+    open for one whole search, in fixed blocks (_VALUES_PER_CHUNK
+    distances or _SYSTEMS_PER_CHUNK systems), so the outputs are bitwise
+    the same for any worker count.
     """
 
     def __init__(self, train: LabeledSet, query_features: np.ndarray,
@@ -305,57 +311,53 @@ class _LocalPlan:
         self.neighbor_labels = train.labels[nb].astype(float)
         self._pool = pool
         self._values = np.empty(self.pair_dist.size)
-        self.systems = np.empty((nq, k, k))
-        self.cross = np.empty((nq, k))
-        self._solved = np.empty((nq, k))
-        self._diag = np.arange(k)
 
     def correlation(self, rho: float, nu: float) -> None:
-        """Fill systems and cross with the correlation for (rho, nu)."""
+        """Fill the distance table's correlations for (rho, nu)."""
         values = self._values
 
         def fill(start: int, stop: int) -> None:
             values[start:stop] = matern_correlation(
                 self.pair_dist[start:stop], rho, nu)
 
-        # the inverses index values in range by construction; mode="clip"
-        # writes into out directly, where the default mode buffers it
-        def gather(start: int, stop: int) -> None:
-            np.take(values, self.pair_inv[start:stop],
-                    out=self.systems[start:stop], mode="clip")
-            np.take(values, self.cross_inv[start:stop],
-                    out=self.cross[start:stop], mode="clip")
-
         _in_chunks(self._pool, fill, values.size, _VALUES_PER_CHUNK)
-        _in_chunks(self._pool, gather, len(self.cross), _SYSTEMS_PER_CHUNK)
 
-    def latent_means(self, omega2: float) -> np.ndarray:
-        """Solve every local system of the last correlation at this omega2
-        and return w . y.
+    def latent_means(self, omega2) -> np.ndarray:
+        """w . y of every local system of the last correlation, for one
+        omega2 ((nq,)) or a sequence of them ((len(omega2), nq)).
 
-        The correlation diagonal is exactly 1, so the system diagonal is
-        rewritten to 1 + omega2 in place for each candidate. The systems
-        are positive definite by construction once omega2 clears roundoff
-        scale and go through blocked LU solves; below _PD_PROBE_BELOW,
-        linalg.spd_factor_stack factors the stack, each system with the
+        Each pool task gathers one block of systems and cross rows from
+        the filled values, then per omega2 rewrites the diagonal, which
+        the correlation gives as exactly 1, to 1 + omega2 and solves. The
+        systems are positive definite by construction once omega2 clears
+        roundoff scale and go through LU solves; below _PD_PROBE_BELOW,
+        linalg.spd_factor_stack factors the block, each system with the
         jitter linalg's ladder gives it alone, and linalg.spd_solve solves
         from those factors.
         """
-        systems, diag = self.systems, self._diag
-        systems[:, diag, diag] = 1.0 + omega2
-        solved = self._solved
+        omegas = np.atleast_1d(np.asarray(omega2, dtype=float))
+        values, labels = self._values, self.neighbor_labels
+        means = np.empty((omegas.size, len(labels)))
+        diag = np.arange(labels.shape[1])
 
+        # the inverses index values in range by construction; mode="clip"
+        # skips the bounds check
         def solve(start: int, stop: int) -> None:
-            solved[start:stop] = np.linalg.solve(
-                systems[start:stop],
-                self.neighbor_labels[start:stop, :, None])[:, :, 0]
+            systems = np.take(values, self.pair_inv[start:stop], mode="clip")
+            cross = np.take(values, self.cross_inv[start:stop], mode="clip")
+            block = labels[start:stop]
+            for row, w in zip(means, omegas):
+                systems[:, diag, diag] = 1.0 + w
+                if w < _PD_PROBE_BELOW:
+                    solved = linalg.spd_solve(
+                        linalg.spd_factor_stack(systems), block)
+                else:
+                    solved = np.linalg.solve(systems, block[:, :, None])
+                row[start:stop] = np.einsum("nk,nk->n", cross,
+                                            solved.reshape(block.shape))
 
-        if omega2 < _PD_PROBE_BELOW:
-            solved[:] = linalg.spd_solve(linalg.spd_factor_stack(systems),
-                                         self.neighbor_labels)
-        else:
-            _in_chunks(self._pool, solve, len(solved), _SYSTEMS_PER_CHUNK)
-        return np.einsum("nk,nk->n", self.cross, solved)
+        _in_chunks(self._pool, solve, len(labels), _SYSTEMS_PER_CHUNK)
+        return means[0] if np.ndim(omega2) == 0 else means
 
 
 def _signs(latent: np.ndarray) -> np.ndarray:
@@ -417,8 +419,8 @@ def grid_search(train: LabeledSet, grid: GridSpec,
         for nu in grid.nu_values:
             for rho in grid.rho_values:
                 plan.correlation(rho, nu)
-                for omega2 in grid.omega2_values:
-                    latent = plan.latent_means(omega2)
+                latents = plan.latent_means(grid.omega2_values)
+                for omega2, latent in zip(grid.omega2_values, latents):
                     score = float(np.mean(_signs(latent) == train.labels))
                     evaluations += 1
                     if score > best:

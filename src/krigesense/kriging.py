@@ -34,6 +34,9 @@ __all__ = [
     "nearest_neighbors",
 ]
 
+# _nearest sorts the distances of this many (query, point) pairs at a time
+_SORT_VALUES = 16384
+
 
 def _as_point(pred, dimension: int) -> np.ndarray:
     pt = np.atleast_1d(np.asarray(pred, dtype=float))
@@ -208,15 +211,25 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
              exclude_self: bool = False) -> np.ndarray:
     """(nq, k) indices of the k nearest rows of points to each query row,
     nearest first, ties by lower index. With exclude_self, query i is
-    points row i and is left out of its own list."""
+    points row i and is left out of its own list.
+
+    Query rows are sorted in blocks of about _SORT_VALUES distances, so
+    no (nq, len(points)) table is held; each row's sort is its own."""
     limit = len(points) - exclude_self
     if not 1 <= k <= limit:
         raise ValueError(f"k must be in [1, {limit}], got {k}")
-    order = np.argsort(_distances(queries, points), axis=1, kind="stable")
-    if exclude_self:
-        nq = order.shape[0]
-        order = order[order != np.arange(nq)[:, None]].reshape(nq, -1)
-    return order[:, :k].copy()
+    nq = len(queries)
+    nearest = np.empty((nq, k), dtype=np.intp)
+    block = max(1, _SORT_VALUES // len(points))
+    for start in range(0, nq, block):
+        stop = min(start + block, nq)
+        order = np.argsort(_distances(queries[start:stop], points), axis=1,
+                           kind="stable")
+        if exclude_self:
+            own = np.arange(start, stop)[:, None]
+            order = order[order != own].reshape(stop - start, -1)
+        nearest[start:stop] = order[:, :k]
+    return nearest
 
 
 def nearest_neighbors(train: LocationSet, pred, k: int) -> np.ndarray:

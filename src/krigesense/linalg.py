@@ -76,13 +76,14 @@ def spd_factor(matrix: np.ndarray) -> SpdFactor:
                      jitter_used=float(factor.jitter_used[0]))
 
 
-def _cholesky_or_nan(stack: np.ndarray) -> np.ndarray:
+def _cholesky_or_nan(stack: np.ndarray, out=None) -> np.ndarray:
     """Lower Cholesky factor of every matrix of an (N, n, n) stack, by the
     gufunc np.linalg.cholesky calls, without its raise: a matrix that
-    does not factor comes back filled with NaN."""
+    does not factor comes back filled with NaN. out=stack factors the
+    stack in place."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore",
                      under="ignore"):
-        return _umath_linalg.cholesky_lo(stack, signature="d->d")
+        return _umath_linalg.cholesky_lo(stack, signature="d->d", out=out)
 
 
 def _failed(lower: np.ndarray) -> np.ndarray:

@@ -80,9 +80,46 @@ def test_covariance_row_blocks_equal_whole_table_rows(q, block, general,
 
 def test_synth_dataset_traced_peak(traced_peak):
     # the 1200 x 1200 covariance is filled a block of rows at a time into
-    # one table, and spd_factor adds its factor: 23.1 MB traced peak,
-    # where a whole-table fill peaked at 34.6 MB (tracemalloc, numpy 2.4.6)
-    assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 26_000_000
+    # one table and factored in place: 12.4 MB traced peak, where a copying
+    # spd_factor peaked at 23.1 MB (tracemalloc, numpy 2.4.6)
+    assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 14_000_000
+
+
+@pytest.mark.parametrize("m, q, normalize", [(40, 2, False), (300, 3, True),
+                                             (1200, 2, False)])
+def test_synth_dataset_matches_copying_spd_factor(m, q, normalize,
+                                                  monkeypatch):
+    # the in-place factor carries spd_factor's bits for the same covariance,
+    # so the latent draw and its labels are the copying path's
+    seed = m + q
+    feats = rng.stream(seed, 1).random((m, q))
+    if normalize:
+        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    factor = linalg.spd_factor(
+        matern_covariance(_distances(feats, feats), GENERATOR_PARAMS))
+    assert factor.jitter_used == 0.0
+    latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
+    factors = []
+    cholesky = linalg._cholesky_or_nan
+
+    def recorded(stack, out=None):
+        factors.append(cholesky(stack, out=out).copy())
+        return factors[-1]
+
+    monkeypatch.setattr(linalg, "_cholesky_or_nan", recorded)
+    data = synth_dataset(m, q, seed, normalize=normalize)
+    assert len(factors) == 1
+    assert factors[0][0].tobytes() == factor.lower.tobytes()
+    assert np.array_equal(data.features, feats)
+    assert np.array_equal(data.labels,
+                          np.where(latent - np.median(latent) > 0.0, 1, -1))
+
+
+def test_synth_dataset_raises_when_rung_zero_fails(monkeypatch):
+    monkeypatch.setattr(linalg, "_cholesky_or_nan",
+                        lambda stack, out=None: np.full_like(stack, np.nan))
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        synth_dataset(10, 2, seed=0)
 
 
 def test_synth_validation():
@@ -283,7 +320,7 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
         plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
                                      pool=pool)
         plan.correlation(rho, nu)
-    systems, cross = plan.systems, plan.cross
+    systems, cross = plan._values[plan.pair_inv], plan._values[plan.cross_inv]
     assert np.array_equal(
         cross, matern_correlation(cdist(query, train.features)[rows, nb],
                                   rho, nu))
@@ -295,14 +332,59 @@ def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
 
 
 def test_local_plan_init_traced_peak(traced_peak):
-    # the int64 pair-key table (16.3 MB at m=800, k=50) is freed before the
-    # (800, 50, 50) system buffer is allocated: 27.9 MB traced peak, where
-    # holding both peaked at 44.2 MB (tracemalloc, numpy 2.4.6, 2 workers)
+    # int32 pair keys (8.2 MB at m=800, k=50), their int32 inverse and
+    # neighbor rows sorted in blocks, with no (800, 50, 50) system buffer:
+    # 19.8 MB traced peak, where int64 keys, a whole-table neighbor sort
+    # and that buffer peaked at 27.9 MB (tracemalloc, numpy 2.4.6)
     train = synth_dataset(800, 2, seed=1)
     with ThreadPoolExecutor(max_workers=2) as pool:
         peak = traced_peak(lambda: classifier._LocalPlan(
             train, train.features, 50, exclude_self=True, pool=pool))
-    assert peak < 32_000_000
+    assert peak < 22_000_000
+
+
+def test_grid_search_traced_peak(traced_peak):
+    # each worker gathers and solves one 50-system block at a time, so a
+    # search holds no (800, 50, 50) stack: 19.8 MB traced peak, where a
+    # whole gathered stack peaked at 28.2 MB (tracemalloc, numpy 2.4.6)
+    train = synth_dataset(800, 2, seed=1)
+    grid = GridSpec(subset="nu_rho", nu_values=(0.5, 1.7),
+                    rho_values=(0.3, 2.0), omega2_values=(0.01,))
+    assert traced_peak(lambda: grid_search(train, grid, 50)) < 22_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_latent_means_over_omega2_values_match_whole_stack(workers, chunks,
+                                                           monkeypatch):
+    # several omega2 values in one call, across the probe threshold, give
+    # the single-value calls' bits and those of one solve of the whole
+    # stack gathered from the filled values
+    if chunks == "small":
+        small_chunks(monkeypatch)
+    data = synth_dataset(130, 2, seed=4)
+    train = LabeledSet(features=data.features[:120],
+                       labels=data.labels[:120])
+    omegas = (0.0, 1e-7, 0.001, 0.01, 0.1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        plan = classifier._LocalPlan(train, train.features, 11,
+                                     exclude_self=True, pool=pool)
+        plan.correlation(0.3, 0.8)
+        got = plan.latent_means(omegas)
+        alone = [plan.latent_means(w) for w in omegas]
+    assert got.shape == (len(omegas), train.count)
+    for row, single, omega2 in zip(got, alone, omegas):
+        systems = plan._values[plan.pair_inv]
+        systems[:, np.arange(11), np.arange(11)] = 1.0 + omega2
+        if omega2 < classifier._PD_PROBE_BELOW:
+            solved = linalg.spd_solve(linalg.spd_factor_stack(systems),
+                                      plan.neighbor_labels)
+        else:
+            solved = np.linalg.solve(systems,
+                                     plan.neighbor_labels[..., None])[..., 0]
+        want = np.einsum("nk,nk->n", plan._values[plan.cross_inv], solved)
+        assert single.shape == (train.count,)
+        assert row.tobytes() == single.tobytes() == want.tobytes()
 
 
 def rung_mix_set() -> LabeledSet:
@@ -327,7 +409,8 @@ def test_pd_probe_gives_each_system_its_own_rung(chunks, monkeypatch):
         plan = classifier._LocalPlan(train, train.features, k,
                                      exclude_self=True, pool=pool)
         plan.correlation(rho, nu)
-        systems, cross = plan.systems.copy(), plan.cross.copy()
+        systems = plan._values[plan.pair_inv]
+        cross = plan._values[plan.cross_inv]
         got = plan.latent_means(0.0)
     # each system is factored and solved as it is alone
     alone = [linalg.spd_factor(s) for s in systems]
@@ -347,7 +430,7 @@ def test_rung_mix_stack_factors_as_each_system_alone():
         plan = classifier._LocalPlan(train, train.features, 8,
                                      exclude_self=True, pool=pool)
         plan.correlation(1.0, 5.0)
-    systems = plan.systems.copy()
+    systems = plan._values[plan.pair_inv]
     systems[:, np.arange(8), np.arange(8)] = 1.0
     f = linalg.spd_factor_stack(systems)
     assert np.count_nonzero(f.jitter_used) == 6
@@ -363,8 +446,9 @@ def test_pd_probe_raises_when_the_ladder_cannot_fix_a_system():
         plan = classifier._LocalPlan(train, train.features, 8,
                                      exclude_self=True, pool=pool)
         plan.correlation(1.0, 0.5)
-        # off-diagonal 1.5 against a unit diagonal: eigenvalue -0.5
-        plan.systems[3, 0, 1] = plan.systems[3, 1, 0] = 1.5
+        # off-diagonal 1.5 against a unit diagonal: eigenvalue -0.5; pairs
+        # are keyed min-index first, so entries (0, 1) and (1, 0) share it
+        plan._values[plan.pair_inv[3, 0, 1]] = 1.5
         with pytest.raises(linalg.NotPositiveDefiniteError):
             plan.latent_means(0.0)
 

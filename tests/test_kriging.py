@@ -272,6 +272,28 @@ def test_neighbor_rule_matches_brute_force_with_ties(data):
         assert got[i].tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("exclude_self", [True, False])
+@pytest.mark.parametrize("sort_values", [1, 45, 500, None])
+def test_blocked_nearest_equals_whole_table_argsort(exclude_self,
+                                                    sort_values, monkeypatch):
+    # _nearest sorts a block of query rows at a time; on a lattice, where
+    # most distances tie, every block size must give the whole table's
+    # stable argsort, self dropped where asked
+    if sort_values is not None:
+        monkeypatch.setattr(kriging, "_SORT_VALUES", sort_values)
+    g = np.arange(7.0) / 2.0
+    points = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+    queries = points if exclude_self else np.vstack(
+        [points[::3], np.random.default_rng(2).integers(0, 7, (20, 2)) / 4.0])
+    nq, k = len(queries), 30
+    order = np.argsort(cdist(queries, points), axis=1, kind="stable")
+    if exclude_self:
+        order = order[order != np.arange(nq)[:, None]].reshape(nq, -1)
+    got = kriging._nearest(points, queries, k, exclude_self)
+    assert got.dtype == order.dtype
+    assert np.array_equal(got, order[:, :k])
+
+
 def test_nearest_neighbors_k_out_of_range():
     grid = make_grid(1, 5)
     for k in (0, 6, -1):
