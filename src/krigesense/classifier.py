@@ -17,19 +17,18 @@ factors. No stack of all the systems is held, only one block per worker.
 The fill and the gather-and-solve run in blocks of a fixed size that
 never depends on the worker count, so every output is bitwise the same
 on any machine and at any pool size. Each grid_search, classify or
-loo_accuracy call opens its own thread pool, sized to the cores in the
-process's CPU affinity mask, and shuts it down before returning, so no
-thread outlives the call.
+loo_accuracy call opens its own thread pool (krigesense.parallel), sized
+to the cores in the process's CPU affinity mask, and shuts it down before
+returning, so no thread outlives the call.
 Candidates are scored one after another.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from . import linalg, rng
 from .kernel import MaternParams, ReducedParams, _check_params, _distances, \
     _distinct, matern_correlation, matern_covariance
 from .kriging import _nearest
+from .parallel import _in_chunks, _open_pool
 
 __all__ = [
     "GENERATOR_PARAMS",
@@ -48,7 +48,6 @@ __all__ = [
     "loo_accuracy",
     "grid_search",
     "run_benchmark",
-    "worker_count",
 ]
 
 # latent-field model behind the synthetic datasets
@@ -202,38 +201,6 @@ def synth_dataset(m: int, q: int, seed: int,
     latent = cov @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
     return LabeledSet(features=feats, labels=labels)
-
-
-def worker_count() -> int:
-    """Size of the thread pool each search opens: the cores in this
-    process's CPU affinity mask, or os.cpu_count() where there is no mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _open_pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=worker_count(),
-                              thread_name_prefix="krigesense")
-
-
-def _in_chunks(pool: ThreadPoolExecutor, task: Callable[[int, int], None],
-               total: int, size: int) -> None:
-    """Run task(start, stop) over [0, total) in blocks of `size` on pool.
-
-    Block boundaries depend only on total and size, never on the pool, and
-    every task writes its own slice, so results do not depend on the
-    worker count. A single block runs inline.
-    """
-    if total <= size:
-        task(0, total)
-        return
-    futures = [pool.submit(task, start, min(start + size, total))
-               for start in range(0, total, size)]
-    wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _pair_keys(nb: np.ndarray, query_ids: np.ndarray, span: int,

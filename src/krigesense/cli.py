@@ -2,10 +2,14 @@
 
 Every run writes one CSV (path set by --out, default <subcommand>.csv)
 plus a JSON manifest next to it recording the command, the fully resolved
-flag values, seed, versions, the classifier's pool size, timestamps, and
+flag values, seed, versions, the pool size (workers), timestamps, and
 output paths; a sobol run adds how many bootstrap replicates it kept.
-Reruns with the same flags and seed reproduce the CSV byte for byte;
-wall-time columns are the only nondeterministic fields.
+workers is the size of the thread pool every subcommand prices its
+independent blocks on: the collinearity scan's row blocks, the Sobol
+study's response calls (at most two of them at a time) and the
+classifier's fill and solve blocks.
+Reruns with the same flags and seed reproduce the CSV byte for byte, at
+any pool size; wall-time columns are the only nondeterministic fields.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from . import __version__
 from .identifiability import band_of, collinearity_scan
 from .kernel import ReducedParams
 from .kriging import kriging_weights
-from .classifier import run_benchmark, worker_count
+from .classifier import run_benchmark
+from .parallel import worker_count
 from .sensitivity import StudyConfig, run_study, study_grid
 
 __all__ = ["main"]

@@ -11,7 +11,8 @@ cells each: the finite-difference thetas of a block are one stack of
 kriging systems, whose prediction rows are the correlation curves and
 whose solves are the weights, and the block's gammas come from one
 stacked eigenvalue call per output. Every step works per system, so a
-cell's gammas do not depend on the block it is priced in.
+cell's gammas do not depend on the block it is priced in, and the
+blocks are priced concurrently on one thread pool per scan.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import linalg
 from .kernel import ReducedParams, make_grid
 from .kriging import KrigingSystem
+from .parallel import _in_chunks, _open_pool
 
 __all__ = [
     "UndefinedCollinearityError",
@@ -247,6 +249,9 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     block is one stack of 4 systems per cell, and its gammas come from
     one stacked eigenvalue call per output. A block where that raises is
     priced again cell by cell, so a failure stays with its own cell.
+    Blocks are priced concurrently on a thread pool opened for this call
+    (one block runs inline) and put together in block order, so cells
+    and the warning do not depend on the pool size.
     """
     if output_kind not in ("correlation_curve", "kriging_weights"):
         raise ValueError(f"unknown output_kind {output_kind!r}")
@@ -259,15 +264,12 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
 
     nus = np.linspace(grid_nu[0], grid_nu[1], resolution)
     rhos = np.linspace(grid_rho[0], grid_rho[1], resolution)
-    rows_per_block = -(-_SCAN_BLOCK_CELLS // resolution)
-    failures: List[str] = []
-    cells = []
-    for start in range(0, resolution, rows_per_block):
-        block_nus = nus[start:start + rows_per_block]
-        thetas = np.column_stack([np.repeat(block_nus, resolution),
-                                  np.tile(rhos, len(block_nus))])
+
+    def price(start: int, stop: int) -> tuple:
+        thetas = np.column_stack([np.repeat(nus[start:stop], resolution),
+                                  np.tile(rhos, stop - start)])
         try:
-            block = _scan_gammas(thetas)
+            return thetas, _scan_gammas(thetas)
         except Exception:  # noqa: BLE001 - priced again cell by cell
             block = []
             for theta in thetas:
@@ -275,6 +277,14 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
                     block += _scan_gammas(theta[None])
                 except Exception as exc:  # noqa: BLE001 - per-cell aggregation
                     block.append((np.nan, np.nan, exc))
+            return thetas, block
+
+    with _open_pool() as pool:
+        blocks = _in_chunks(pool, price, resolution,
+                            -(-_SCAN_BLOCK_CELLS // resolution))
+    failures: List[str] = []
+    cells = []
+    for thetas, block in blocks:
         for nu, rho, (g_corr, g_wts, reason) in zip(*thetas.T, block):
             if reason is not None:
                 failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {reason!r}")

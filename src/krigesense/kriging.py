@@ -107,8 +107,11 @@ class KrigingSystem:
 
         Each distinct distance of the layout is priced once per distinct
         (rho, nu), and each distinct (rho, nu, omega2) is assembled and
-        factored once. Every step works per system, so a row gives the
-        same bits alone, in any stack, or as a repeat.
+        factored once, in place; a system that fails the plain Cholesky
+        is assembled again for linalg's jitter ladder and gets the factor
+        and jitter_used spd_factor_stack would give it. Every step
+        works per system, so a row gives the same bits alone, in any
+        stack, or as a repeat.
         """
         pt = _as_point(pred, train.dimension)
         fields = (params.rho, params.nu, params.omega2)
@@ -127,10 +130,25 @@ class KrigingSystem:
             _distances(np.vstack([train.points, pt]), train.points))
         corr = matern_correlation(uniq, rho[pair_rows, None],
                                   nu[pair_rows, None])[pair_inv[system_rows]]
-        systems = np.take(corr, inv[:n], axis=1)
-        systems[:, np.arange(n), np.arange(n)] += omega2[system_rows, None]
+        diag = np.arange(n)
+
+        def assemble(which) -> np.ndarray:
+            systems = np.take(corr[which], inv[:n], axis=1)
+            systems[:, diag, diag] += omega2[system_rows[which], None]
+            return systems
+
+        # rung 0 factors the whole stack in place; only the systems it
+        # fails are assembled again and go up the rungs above it
+        lower = assemble(slice(None))
+        linalg._cholesky_or_nan(lower, out=lower)
+        jitter = np.zeros(len(lower))
+        failing = np.flatnonzero(linalg._failed(lower))
+        if failing.size:
+            lower[failing], jitter[failing] = linalg._jitter_ladder(
+                assemble(failing))
         return cls(train=train, pred=pt, params=params,
-                   factor=linalg.spd_factor_stack(systems),
+                   factor=linalg.SpdFactor(dimension=n, lower=lower,
+                                           jitter_used=jitter),
                    cross=np.take(corr, inv[n], axis=1),
                    rows=system_inv.reshape(np.broadcast(*fields).shape))
 

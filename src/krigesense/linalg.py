@@ -92,38 +92,49 @@ def _failed(lower: np.ndarray) -> np.ndarray:
     return np.isnan(np.diagonal(lower, axis1=-2, axis2=-1)).any(axis=-1)
 
 
+def _jitter_ladder(pending: np.ndarray):
+    """Factors and jitters of an (N, n, n) stack of systems that all failed
+    rung 0: each is checked for symmetry and goes up the rungs above 0,
+    only the systems that still fail going on to the next rung, each with
+    its own jitter (the rung's scale times its own mean diagonal). The
+    first system the whole ladder cannot fix raises
+    NotPositiveDefiniteError."""
+    pending = _require_symmetric(pending)
+    lower = np.empty_like(pending)
+    jitter = np.empty(len(pending))
+    failing = np.arange(len(pending))
+    mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
+    eye = np.eye(pending.shape[-1])
+    for scale in JITTER_LADDER[1:]:
+        rung = scale * mean_diag
+        attempt = _cholesky_or_nan(pending + rung[:, None, None] * eye)
+        done = ~_failed(attempt)
+        lower[failing[done]] = attempt[done]
+        jitter[failing[done]] = rung[done]
+        failing, pending, mean_diag = (
+            failing[~done], pending[~done], mean_diag[~done])
+        if not failing.size:
+            return lower, jitter
+    raise NotPositiveDefiniteError(
+        f"matrix not positive definite after jitter ladder "
+        f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
+
+
 def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
     """Factor an (N, n, n) stack of symmetric matrices, one batched
     Cholesky per jitter rung.
 
-    Every system is tried at rung 0; only the systems that still fail are
-    checked for symmetry and go on to the next rung, each with its own
-    jitter: the rung's scale times its own mean diagonal. A system gets
-    the factor and jitter_used it gets alone, and the first system the
-    whole ladder cannot fix raises NotPositiveDefiniteError.
+    Every system is tried at rung 0; only the systems that fail go up
+    _jitter_ladder. A system gets the factor and jitter_used it gets
+    alone, and the first system the whole ladder cannot fix raises
+    NotPositiveDefiniteError.
     """
     stack = np.asarray(stack, dtype=float)
     lower = _cholesky_or_nan(stack)
     jitter = np.zeros(stack.shape[0])
     failing = np.flatnonzero(_failed(lower))
     if failing.size:
-        pending = _require_symmetric(stack[failing])
-        mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
-        eye = np.eye(stack.shape[-1])
-        for scale in JITTER_LADDER[1:]:
-            rung = scale * mean_diag
-            attempt = _cholesky_or_nan(pending + rung[:, None, None] * eye)
-            done = ~_failed(attempt)
-            lower[failing[done]] = attempt[done]
-            jitter[failing[done]] = rung[done]
-            failing, pending, mean_diag = (
-                failing[~done], pending[~done], mean_diag[~done])
-            if not failing.size:
-                break
-        else:
-            raise NotPositiveDefiniteError(
-                f"matrix not positive definite after jitter ladder "
-                f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
+        lower[failing], jitter[failing] = _jitter_ladder(stack[failing])
     return SpdFactor(dimension=stack.shape[-1], lower=lower,
                      jitter_used=jitter)
 
@@ -133,10 +144,11 @@ def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     factor and (N, n) for a factored stack of N, one row per system.
 
     One factor is a stack of one. The forward (L z = rhs) and back
-    (L^T x = z) substitutions go column by column over a copy of the
-    factor with the stack axis last, so every step is one elementwise
-    operation across the stack on contiguous rows, and a system solved
-    in a stack of any size gives the bits it gives alone.
+    (L^T x = z) substitutions go column by column over strided views of
+    the factor with the stack axis last, read where the factor lies, so
+    no copy of the stack is made; every step is one elementwise
+    operation across the stack, and a system solved in a stack of any
+    size gives the bits it gives alone.
     """
     lower = factor.lower
     stacked = lower.ndim == 3
@@ -149,8 +161,9 @@ def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
             f"factor of shape {lower.shape} solves")
     if not stacked:
         lower, rhs = lower[None], rhs[None]
-    # (n, n, N) and (n, N): entry (i, j) of every system in one row
-    factors = np.moveaxis(lower, 0, -1).copy()
+    # an (n, n, N) view of the factor and an (n, N) copy of rhs: entry
+    # (i, j) of every system in one row
+    factors = np.moveaxis(lower, 0, -1)
     x = rhs.T.copy()
     for j in range(n):
         x[j] /= factors[j, j]

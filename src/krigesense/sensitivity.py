@@ -12,7 +12,8 @@ hybrid A_B^i equals A outside column i, so sobol_total hands f the same
 base rows of every matrix in one call, and the kriging stack prices each
 distinct (rho, nu) and factors each distinct (rho, nu, omega2) once: the
 location factor's hybrid repeats A's systems exactly, and omega2's
-repeats A's correlations.
+repeats A's correlations. The calls run two at a time on one thread
+pool per study, and their responses are put together in block order.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import rng
 from .kernel import LocationSet, ReducedParams, _check_params, make_grid
 from .kriging import KrigingSystem, kriging_weights
+from .parallel import _in_chunks, _open_pool
 
 __all__ = [
     "UndefinedSharesError",
@@ -54,6 +56,10 @@ FIXED_OMEGA2_CHOICES = (0.0, 0.001, 0.01, 0.1)
 
 _BOOTSTRAP_REPLICATES = 200
 _BOOTSTRAP_BLOCK = 25
+# each response call in flight holds its own factored kriging stack
+# (about 0.7 MB for a 1-D study at n = 256), so at most this many run at
+# once and a study's memory does not grow with the host's core count
+_CALLS_IN_FLIGHT = 2
 
 STUDY_GRID_1D = make_grid(1, 21, exclude=0.5)
 STUDY_POINT_1D = np.array([0.5])
@@ -154,7 +160,6 @@ class SobolResult:
     total_index: np.ndarray
     percent_share: np.ndarray
     bootstrap_halfwidth: np.ndarray
-    flagged: bool
     base_count: int
     evaluations: int
     replicates_kept: int
@@ -230,12 +235,15 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], matrices: np.ndarray,
     f is called on row-aligned blocks: each call holds the same
     ceil(n / k) base rows of every matrix, stacked matrix by matrix, so a
     row and its copies in the other matrices always share a call, and
-    there are at most k calls of about n rows each."""
+    there are at most k calls of about n rows each. The calls run
+    concurrently, at most _CALLS_IN_FLIGHT at a time, on a thread pool
+    opened for this call; every response is
+    checked, and the first error in block order is raised once all calls
+    are done, so it is the error a call-by-call loop would raise."""
     count, n, p = matrices.shape
-    block = -(-n // count)
-    values = np.empty((count, n))
-    for start in range(0, n, block):
-        rows = matrices[:, start:start + block].reshape(-1, p)
+
+    def call(start: int, stop: int) -> np.ndarray:
+        rows = matrices[:, start:stop].reshape(-1, p)
         got = np.asarray(f(rows), dtype=float)
         if got.shape != (len(rows),):
             raise ValueError(
@@ -248,8 +256,11 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], matrices: np.ndarray,
             raise ArithmeticError(
                 f"non-finite response value in {labels[matrix]} sample, "
                 f"row {start + row}")
-        values[:, start:start + block] = got
-    return values
+        return got
+
+    with _open_pool(most=_CALLS_IN_FLIGHT) as pool:
+        return np.concatenate(_in_chunks(pool, call, n, -(-n // count)),
+                              axis=1)
 
 
 def _balanced_indices(count: int, n_levels: int,
@@ -272,9 +283,13 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     ceil(N / (p + 2)) base rows of A, then of each A_B^i in input order,
     then of the Latin hypercube sample, so row r of A_B^i shares a call
     with row r of A, which it equals outside column i, and a response
-    that prices each distinct row once can skip the copies. An error for
-    a non-finite response names the matrix and row of the call's first
-    bad value. Indices use
+    that prices each distinct row once can skip the copies. f is called
+    from pool threads, two calls at a time, on disjoint blocks that may
+    finish in any order, so it must be safe to call concurrently and its
+    responses must not depend on the order of its calls or on state kept
+    between them. An error for a non-finite
+    response names the matrix and row of the first bad value in the first
+    call, in block order, that has one. Indices use
     T_i = sum((f(A) - f(A_B^i))^2) / (2 N varhat), with varhat taken from
     an independent Latin hypercube sample; 200 bootstrap resamples give a
     95% halfwidth on the percent-share scale (replicates with a
@@ -357,7 +372,6 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
         total_index=totals,
         percent_share=shares,
         bootstrap_halfwidth=halfwidth,
-        flagged=bool(np.any(totals < -0.05)),
         base_count=n,
         evaluations=n * (p + 2),
         replicates_kept=len(stacked),

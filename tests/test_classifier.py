@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from krigesense import classifier, linalg, rng
+from krigesense import classifier, linalg, parallel, rng
 from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
@@ -264,7 +264,7 @@ def plain_latent_means(train, query, k, loo, params):
 
 
 def latent_from_plan(train, query, k, loo, params):
-    with ThreadPoolExecutor(max_workers=classifier.worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=parallel.worker_count()) as pool:
         plan = classifier._LocalPlan(train, query, k, exclude_self=loo,
                                      pool=pool)
         plan.correlation(params.rho, params.nu)
@@ -474,7 +474,7 @@ def test_classifier_outputs_independent_of_worker_count(monkeypatch):
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 4):
-            monkeypatch.setattr(classifier, "worker_count", lambda: workers)
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
             results.append(run())
     finally:
         sys.setswitchinterval(switch)
@@ -513,16 +513,24 @@ print(os.waitpid(pid, 0)[1])
 
 
 def test_import_starts_no_thread():
+    # importing starts no thread, and a call that used a pool (the
+    # classifier, a two-block scan, a Sobol study) shuts it down first
     code = """
 import threading
 import krigesense.classifier as c, krigesense.cli
+from krigesense.identifiability import collinearity_scan
 from krigesense.kernel import ReducedParams
+from krigesense.sensitivity import StudyConfig, run_study
 print(threading.active_count())
 data = c.synth_dataset(300, 2, seed=1)
 c.classify(data, data.features[:200], ReducedParams(1.0, 1.0, 0.01), k=10)
 print(threading.active_count())
+collinearity_scan(resolution=12)
+print(threading.active_count())
+run_study(StudyConfig(sample_budget=256))
+print(threading.active_count())
 """
-    assert run_python(code).split() == ["1", "1"]
+    assert run_python(code).split() == ["1", "1", "1", "1"]
 
 
 # ----------------------------------------------------------- grid search

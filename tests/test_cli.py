@@ -250,9 +250,14 @@ def test_sobol_small_budget_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sobol_output_independent_of_thread_level(tmp_path, cli_child):
+@pytest.mark.parametrize("flags", [
+    ["sobol", "--n", "256", "--seed", "3"],
+    # two blocks of six rows, so the full mask prices them on the pool;
+    # the rho = 1e-6 column fails in every row
+    ["collinearity", "--res", "12", "--rho-min", "1e-6", "--rho-max", "1"],
+], ids=["sobol", "collinearity-res12"])
+def test_output_independent_of_thread_level(tmp_path, cli_child, flags):
     # one run in a child narrowed to one core, one at the full CPU mask
-    flags = ["sobol", "--n", "256", "--seed", "3"]
     one_core = tmp_path / "one-core.csv"
     full_mask = tmp_path / "full-mask.csv"
     assert cli_child(flags + ["--out", str(one_core)], True) == 0

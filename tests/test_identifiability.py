@@ -1,6 +1,8 @@
 """Tests for finite-difference sensitivities and the collinearity index."""
 
 import math
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from krigesense import identifiability
+from krigesense import identifiability, parallel
 from krigesense.identifiability import (GAMMA_CAP, CollinearityCell,
                                         SensitivityMatrix,
                                         UndefinedCollinearityError, band_of,
@@ -379,10 +381,47 @@ def test_scan_cells_do_not_depend_on_rows_per_block(res, box, monkeypatch):
         assert "nan" in " ".join(want[0])
 
 
+def test_scan_cells_do_not_depend_on_worker_count(monkeypatch):
+    # a res-12 scan is two blocks of six rows, priced concurrently on the
+    # pool; at 1, 2 and 4 workers every cell and the warning are the same
+    # bits, also where a column fails in every row and where a block
+    # cannot be stacked and is priced again cell by cell
+    boxes = [dict(),
+             dict(grid_nu=(0.5, 2.0), grid_rho=(1e-6, 1.0)),
+             dict(grid_nu=(49.0, 50.0), grid_rho=(0.5, 1.0))]
+    threads = set()
+    scan_gammas = identifiability._scan_gammas
+
+    def recorded(thetas):
+        threads.add(threading.current_thread().name)
+        return scan_gammas(thetas)
+
+    monkeypatch.setattr(identifiability, "_scan_gammas", recorded)
+    results = []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            results.append([_scan_record(
+                monkeypatch, identifiability._SCAN_BLOCK_CELLS,
+                resolution=12, **box) for box in boxes])
+    finally:
+        sys.setswitchinterval(switch)
+    assert any(name.startswith("krigesense") for name in threads)
+    assert [len(warned) for _, warned in results[0]] == [0, 1, 1]
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
 def test_small_scan_traced_peak_below_one_default_row(traced_peak):
     # a res-12 scan is priced in blocks of six rows (72 cells); its traced
     # peak stays below the 2.89 MB the row-by-row scan peaked at for one
-    # 100-cell row of the default scan (tracemalloc, numpy 2.4.6)
+    # 100-cell row of the default scan (tracemalloc, numpy 2.4.6). Each
+    # stack is factored in place and solved without a copy, so one block
+    # in flight peaks at 1.23 MB (2.15 MB when the factor and the solve
+    # each held a copy of the stack); the peak grows with min(workers,
+    # blocks), and the two blocks on a pool of 2 or 4 peak at 2.3-2.4 MB
     assert traced_peak(lambda: collinearity_scan(resolution=12)) < 2_890_000
 
 

@@ -1,4 +1,4 @@
-"""Peak resident set size of the classifier's stages, each in a fresh process.
+"""Peak resident set size of the package's stages, each in a fresh process.
 
     python3 tools/peak_rss.py [TREE]
 
@@ -9,7 +9,14 @@ Each stage runs in a child process that imports the package from
 - ``import``: ``krigesense.classifier`` imported, nothing run;
 - ``synth``: one ``synth_dataset(1200, 2)``, the classify-nu-rho input;
 - ``search``: that draw, the nu_rho leave-one-out grid search over its
-  first 800 rows at k = 50, and ``classify`` of the other 400.
+  first 800 rows at k = 50, and ``classify`` of the other 400;
+- ``scan``: one res-12 collinearity scan of the default (nu, rho) box,
+  the size of a scan-windows op;
+- ``sobol``: one 1-D weights Sobol row at n = 256, omega2 = 0.01, the
+  size of a sobol-table op.
+
+The last two show the pooled scan and study paths without a benchmark
+harness's own memory.
 
 Run it on two trees, for instance a parent exported with ``git archive``,
 to see which stage sets a peak and by how much a change moves it.
@@ -32,6 +39,13 @@ data = c.synth_dataset(1200, 2, seed=0)
 train = c.LabeledSet(features=data.features[:800], labels=data.labels[:800])
 selected, _ = c.grid_search(train, c.GridSpec.for_subset("nu_rho"), 50)
 c.classify(train, data.features[800:], selected, 50)""",
+    "scan": """
+from krigesense.identifiability import collinearity_scan
+collinearity_scan(resolution=12)""",
+    "sobol": """
+from krigesense.sensitivity import StudyConfig, run_study
+run_study(StudyConfig(response="weights", omega2_mode="fixed",
+                      omega2_value=0.01, sample_budget=256))""",
 }
 
 _CHILD = """
