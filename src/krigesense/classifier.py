@@ -174,10 +174,10 @@ def synth_dataset(m: int, q: int, seed: int,
     class. The m x m covariance is filled in blocks of whole rows, about
     _VALUES_PER_CHUNK entries each, so the fill holds no second table of
     its size; each entry carries the bits a whole-table fill gives it.
-    The covariance is then factored in place, with the bits
-    linalg.spd_factor gives it: its 0.01 nugget keeps every eigenvalue
-    above the jitter ladder's rungs, so rung 0 must succeed, and
-    NotPositiveDefiniteError is raised if it does not.
+    The covariance is then factored in place by linalg._factor_in_place,
+    with spd_factor's bits: its 0.01 nugget keeps every eigenvalue above
+    the ladder's rungs, so rung 0 must succeed, and the draw raises
+    NotPositiveDefiniteError, never jitters, if it does not.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -195,10 +195,13 @@ def synth_dataset(m: int, q: int, seed: int,
         rows = slice(start, start + block)
         cov[rows] = matern_covariance(_distances(feats[rows], feats),
                                       GENERATOR_PARAMS)
-    if linalg._failed(linalg._cholesky_or_nan(cov[None], out=cov[None]))[0]:
+
+    def no_jitter(which):
         raise linalg.NotPositiveDefiniteError(
             "generator covariance did not factor at jitter rung 0")
-    latent = cov @ rng.stream(seed, 2).standard_normal(m)
+
+    lower = linalg._factor_in_place(cov[None], no_jitter).lower[0]
+    latent = lower @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
     return LabeledSet(features=feats, labels=labels)
 

@@ -44,8 +44,6 @@ _SUBSET_CHOICES = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(float(value))
 
 

@@ -107,11 +107,11 @@ class KrigingSystem:
 
         Each distinct distance of the layout is priced once per distinct
         (rho, nu), and each distinct (rho, nu, omega2) is assembled and
-        factored once, in place; a system that fails the plain Cholesky
-        is assembled again for linalg's jitter ladder and gets the factor
-        and jitter_used spd_factor_stack would give it. Every step
-        works per system, so a row gives the same bits alone, in any
-        stack, or as a repeat.
+        factored once, in place, by linalg._factor_in_place; a system
+        that fails the plain Cholesky is assembled again for the jitter
+        ladder and gets the factor and jitter_used spd_factor_stack
+        would give it. Every step works per system, so a row gives the
+        same bits alone, in any stack, or as a repeat.
         """
         pt = _as_point(pred, train.dimension)
         fields = (params.rho, params.nu, params.omega2)
@@ -137,18 +137,9 @@ class KrigingSystem:
             systems[:, diag, diag] += omega2[system_rows[which], None]
             return systems
 
-        # rung 0 factors the whole stack in place; only the systems it
-        # fails are assembled again and go up the rungs above it
-        lower = assemble(slice(None))
-        linalg._cholesky_or_nan(lower, out=lower)
-        jitter = np.zeros(len(lower))
-        failing = np.flatnonzero(linalg._failed(lower))
-        if failing.size:
-            lower[failing], jitter[failing] = linalg._jitter_ladder(
-                assemble(failing))
         return cls(train=train, pred=pt, params=params,
-                   factor=linalg.SpdFactor(dimension=n, lower=lower,
-                                           jitter_used=jitter),
+                   factor=linalg._factor_in_place(assemble(slice(None)),
+                                                  assemble),
                    cross=np.take(corr, inv[n], axis=1),
                    rows=system_inv.reshape(np.broadcast(*fields).shape))
 

@@ -3,10 +3,12 @@
 The factorization wraps LAPACK Cholesky inside a jitter ladder so that
 kernel matrices that are PSD-but-numerically-singular (nugget-free smooth
 kernels) still factor; the ladder scales are relative to the mean
-diagonal. One factor or a factored stack is solved by the same forward
-and back substitution, elementwise across the stack. Eigenvalues of the
-p <= 8 matrices the collinearity index needs, one matrix or a stack, come
-from LAPACK's symmetric eigensolver.
+diagonal. Every stack, one matrix included, is factored in place by one
+routine, and its input is checked once, where it enters. One factor or a
+factored stack is solved by the same forward and back substitution,
+elementwise across the stack. Eigenvalues of the p <= 8 matrices the
+collinearity index needs, one matrix or a stack, come from LAPACK's
+symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower Cholesky factor of (matrix + jitter_used * I), or of a stack."""
+    """Lower Cholesky factor of (matrix + jitter_used * I): lower (n, n) and
+    a float jitter_used for one matrix, (N, n, n) and (N,) for a stack."""
 
     dimension: int
     lower: np.ndarray
-    jitter_used: float
+    jitter_used: float | np.ndarray
 
 
 def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -68,12 +71,24 @@ def spd_factor(matrix: np.ndarray) -> SpdFactor:
     Ladder scales are multiples of the mean diagonal: 0, 1e-12, 1e-10,
     1e-8. jitter_used records the absolute jitter that succeeded.
     """
-    a = _require_symmetric(matrix)
-    if a.ndim != 2:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"one square matrix required, got shape {a.shape}")
     factor = spd_factor_stack(a[None])
     return SpdFactor(dimension=a.shape[0], lower=factor.lower[0],
                      jitter_used=float(factor.jitter_used[0]))
+
+
+def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
+    """Factor an (N, n, n) stack of symmetric matrices, one batched
+    Cholesky per jitter rung, on a copy, after one check of the whole
+    stack. A system gets the factor and jitter_used it gets alone, and
+    the first system the whole ladder cannot fix raises
+    NotPositiveDefiniteError."""
+    stack = _require_symmetric(stack)
+    if stack.ndim != 3:
+        raise ValueError(f"(N, n, n) stack required, got shape {stack.shape}")
+    return _factor_in_place(stack.copy(), lambda which: stack[which])
 
 
 def _cholesky_or_nan(stack: np.ndarray, out=None) -> np.ndarray:
@@ -92,50 +107,36 @@ def _failed(lower: np.ndarray) -> np.ndarray:
     return np.isnan(np.diagonal(lower, axis1=-2, axis2=-1)).any(axis=-1)
 
 
-def _jitter_ladder(pending: np.ndarray):
-    """Factors and jitters of an (N, n, n) stack of systems that all failed
-    rung 0: each is checked for symmetry and goes up the rungs above 0,
-    only the systems that still fail going on to the next rung, each with
-    its own jitter (the rung's scale times its own mean diagonal). The
+def _factor_in_place(stack: np.ndarray, rebuild) -> SpdFactor:
+    """Factor an assembled (N, n, n) stack of symmetric, finite systems in
+    place at rung 0. rebuild(indices) gives those systems again as
+    assembled; only the failed ones are rebuilt and go up the rungs
+    above 0, each with its own jitter (the rung's scale times its own
+    mean diagonal), those that still fail going on to the next rung. The
     first system the whole ladder cannot fix raises
     NotPositiveDefiniteError."""
-    pending = _require_symmetric(pending)
-    lower = np.empty_like(pending)
-    jitter = np.empty(len(pending))
-    failing = np.arange(len(pending))
-    mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
-    eye = np.eye(pending.shape[-1])
-    for scale in JITTER_LADDER[1:]:
-        rung = scale * mean_diag
-        attempt = _cholesky_or_nan(pending + rung[:, None, None] * eye)
-        done = ~_failed(attempt)
-        lower[failing[done]] = attempt[done]
-        jitter[failing[done]] = rung[done]
-        failing, pending, mean_diag = (
-            failing[~done], pending[~done], mean_diag[~done])
-        if not failing.size:
-            return lower, jitter
-    raise NotPositiveDefiniteError(
-        f"matrix not positive definite after jitter ladder "
-        f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
-
-
-def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
-    """Factor an (N, n, n) stack of symmetric matrices, one batched
-    Cholesky per jitter rung.
-
-    Every system is tried at rung 0; only the systems that fail go up
-    _jitter_ladder. A system gets the factor and jitter_used it gets
-    alone, and the first system the whole ladder cannot fix raises
-    NotPositiveDefiniteError.
-    """
-    stack = np.asarray(stack, dtype=float)
-    lower = _cholesky_or_nan(stack)
-    jitter = np.zeros(stack.shape[0])
+    lower = _cholesky_or_nan(stack, out=stack)
+    jitter = np.zeros(len(lower))
     failing = np.flatnonzero(_failed(lower))
     if failing.size:
-        lower[failing], jitter[failing] = _jitter_ladder(stack[failing])
-    return SpdFactor(dimension=stack.shape[-1], lower=lower,
+        pending = rebuild(failing)
+        mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
+        eye = np.eye(pending.shape[-1])
+        for scale in JITTER_LADDER[1:]:
+            rung = scale * mean_diag
+            attempt = _cholesky_or_nan(pending + rung[:, None, None] * eye)
+            done = ~_failed(attempt)
+            lower[failing[done]] = attempt[done]
+            jitter[failing[done]] = rung[done]
+            failing, pending, mean_diag = (
+                failing[~done], pending[~done], mean_diag[~done])
+            if not failing.size:
+                break
+        else:
+            raise NotPositiveDefiniteError(
+                f"matrix not positive definite after jitter ladder "
+                f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
+    return SpdFactor(dimension=lower.shape[-1], lower=lower,
                      jitter_used=jitter)
 
 

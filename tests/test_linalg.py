@@ -138,6 +138,35 @@ def test_stack_ladder_raises_spd_factors_error_for_the_first_failure():
         linalg.spd_factor_stack(stack)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[4.0, 100.0], [1.0, 3.0]], "not symmetric within 1e-12"),
+    ([[1.0, 0.5], [0.5, np.inf]], "non-finite entries"),
+], ids=["asymmetric", "non-finite"])
+def test_stack_input_is_checked_as_spd_factor_checks_it(bad, message):
+    # both factor at rung 0 (from the lower triangle, and to an inf
+    # diagonal), so only a check of the whole stack before the factor
+    # catches them
+    rng = np.random.default_rng(6)
+    stack = np.stack([random_spd(2, rng), np.array(bad), random_spd(2, rng)])
+    with pytest.raises(ValueError, match=message):
+        linalg.spd_factor(stack[1])
+    with pytest.raises(ValueError, match=message):
+        linalg.spd_factor_stack(stack)
+
+
+def test_stack_factor_leaves_the_callers_stack_as_it_was():
+    # the stack is factored in place, so spd_factor_stack must work on a
+    # copy, also for a system that goes up the ladder
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_spd(4, rng), np.ones((4, 4)),
+                      random_spd(4, rng)])
+    before = stack.copy()
+    f = linalg.spd_factor_stack(stack)
+    assert f.jitter_used.tolist()[::2] == [0.0, 0.0]
+    assert f.jitter_used[1] > 0.0
+    assert stack.tobytes() == before.tobytes()
+
+
 def test_solve_shape_mismatch():
     f = linalg.spd_factor(np.eye(3))
     with pytest.raises(ValueError):

@@ -9,6 +9,11 @@ then the call. ``classify-bench`` CSVs are hashed without their
 ``wall_time_s`` column, the only field that differs between reruns. Run
 it on two trees, for instance a parent exported with ``git archive``,
 and ``diff`` the outputs: equal lines mean byte-identical CSVs.
+
+Each call then runs a second time in a child that first narrows its CPU
+mask to the lowest core of this process's mask, so every pool it opens
+has one worker. If that CSV differs from the first, the call is named on
+stderr and the tool exits with status 1 once every call has run.
 """
 
 from __future__ import annotations
@@ -41,13 +46,22 @@ CALLS = (
        for seed, (dim, response, omega2) in enumerate(_SOBOL_ROWS)]
     + [["classify-bench", "--sizes", "200", "--iters", "2"]])
 
-_CHILD = "import sys; from krigesense.cli import main; sys.exit(main(sys.argv[1:]))"
+# the child narrows its own CPU mask, if given a core, before anything
+# sizes a pool
+_CHILD = """
+import os, sys
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from krigesense.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
-def digest(tree: str, call, out: str) -> str:
-    """Run one call against tree's sources and hash the CSV it writes."""
+def digest(tree: str, call, out: str, core: str = "") -> str:
+    """Run one call against tree's sources, pinned to `core` if given, and
+    hash the CSV it writes."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    subprocess.run([sys.executable, "-c", _CHILD, *call, "--out", out],
+    subprocess.run([sys.executable, "-c", _CHILD, core, *call, "--out", out],
                    env=env, check=True)
     with open(out, newline="") as handle:
         text = handle.read()
@@ -65,10 +79,19 @@ def main() -> None:
     parser.add_argument("tree", nargs="?", default=ROOT,
                         help="source tree whose src/ is imported")
     tree = os.path.abspath(parser.parse_args().tree)
+    lowest = str(min(os.sched_getaffinity(0)))
+    differs = False
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "out.csv")
         for call in CALLS:
-            print(digest(tree, call, out), " ".join(call), flush=True)
+            line = " ".join(call)
+            full = digest(tree, call, out)
+            print(full, line, flush=True)
+            if digest(tree, call, out, core=lowest) != full:
+                print(f"differs at pool size 1: {line}", file=sys.stderr)
+                differs = True
+    if differs:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
