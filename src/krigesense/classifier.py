@@ -6,9 +6,10 @@ Hyperparameters come from a leave-one-out grid search over nested subsets
 of (nu, rho, omega2); the benchmark times the three subset searches on
 shared splits to expose the cost/accuracy trade.
 
-The search engine batches all per-point local systems: neighbor pairs and
-query-neighbor pairs are deduplicated into one distance table per
-training set, and each (nu, rho) combination prices that table once.
+The search engine batches all per-point local systems, each keyed in
+KrigingSystem.build's layout (its neighbors, then the query): their point
+pairs are deduplicated into one distance table per training set, with
+kernel's one distance sum, and each (nu, rho) prices that table once.
 Each block of local systems is then gathered from those values once and
 solved for every omega2 candidate of that (nu, rho), by LU; below a
 roundoff-scale nugget the block is instead factored by linalg's jitter
@@ -193,7 +194,7 @@ def synth_dataset(m: int, q: int, seed: int,
     block = max(1, _VALUES_PER_CHUNK // m)
     for start in range(0, m, block):
         rows = slice(start, start + block)
-        cov[rows] = matern_covariance(_distances(feats[rows], feats),
+        cov[rows] = matern_covariance(_distances(feats[rows, None], feats),
                                       GENERATOR_PARAMS)
 
     def no_jitter(which):
@@ -208,24 +209,22 @@ def synth_dataset(m: int, q: int, seed: int,
 
 def _pair_keys(nb: np.ndarray, query_ids: np.ndarray, span: int,
                pool: ThreadPoolExecutor) -> np.ndarray:
-    """Keys min * span + max of every system's neighbor pairs, then of
-    every (query, neighbor) cross pair, written in place block by block:
-    int32 while span**2 fits, int64 beyond. No view of the table
-    outlives this call, so it is freed as soon as the caller drops it."""
+    """(nq, k + 1, k) keys min * span + max of every local system in
+    KrigingSystem.build's layout, the k neighbors then the query: row j < k
+    pairs neighbor j with each neighbor, row k pairs the query with them.
+    Written in place block by block, int32 while span**2 fits, int64
+    beyond. No view of the table outlives this call, so it is freed as
+    soon as the caller drops it."""
     nq, k = nb.shape
     dtype = np.int32 if span * span < 2 ** 31 else np.int64
-    keys = np.empty(nq * k * (k + 1), dtype=dtype)
-    pair_keys = keys[:nq * k * k].reshape(nq, k, k)
-    cross_keys = keys[nq * k * k:].reshape(nq, k)
-
-    def key(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(np.minimum(a, b), span, out=out)
-        out += np.maximum(a, b)
+    keys = np.empty((nq, k + 1, k), dtype=dtype)
+    rows = np.column_stack([nb, query_ids])[:, :, None]
+    cols = nb[:, None, :]
 
     def build_keys(start: int, stop: int) -> None:
-        block = nb[start:stop]
-        key(block[:, :, None], block[:, None, :], pair_keys[start:stop])
-        key(query_ids[start:stop, None], block, cross_keys[start:stop])
+        a, b, out = rows[start:stop], cols[start:stop], keys[start:stop]
+        np.multiply(np.minimum(a, b), span, out=out)
+        out += np.maximum(a, b)
 
     _in_chunks(pool, build_keys, nq, _SYSTEMS_PER_CHUNK)
     return keys
@@ -239,12 +238,13 @@ class _LocalPlan:
     with int32 gather maps into it, the stacked neighbor labels, and one
     buffer for the correlations of that table. Points are the training
     rows plus m + i for held-out query i; a leave-one-out query is its own
-    training row. Neighbor pairs (j, l) and cross pairs (query i, neighbor
-    j) are both keyed min-index first in that one key space and
-    deduplicated by kernel._distinct, so every distinct pair, of either
-    kind, is priced once per (nu, rho). Keys, not distance values, are
-    deduplicated: that needs only the distinct pairs' distances, never all
-    of them and a sort.
+    training row. Each system's pairs are keyed min-index first in
+    KrigingSystem.build's (k + 1, k) layout by _pair_keys and deduplicated
+    by kernel._distinct, so every distinct pair, neighbor or cross, is
+    priced once per (nu, rho); pair_inv and cross_inv are the views
+    [:, :k] and [:, k] of that one inverse. Keys, not distance values, are
+    deduplicated: that needs only the distinct pairs' distances, from
+    kernel._distances, never all of them and a sort.
 
     Everything that does not depend on (nu, rho, omega2) happens here
     once. correlation(rho, nu) is one Matern fill over the distance
@@ -273,10 +273,9 @@ class _LocalPlan:
 
         unique_keys, inverse = _distinct(
             _pair_keys(nb, query_ids, span, pool))
-        diff = points[unique_keys // span] - points[unique_keys % span]
-        self.pair_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        self.pair_inv = inverse[:nq * k * k].reshape(nq, k, k)
-        self.cross_inv = inverse[nq * k * k:].reshape(nq, k)
+        self.pair_dist = _distances(points[unique_keys // span],
+                                    points[unique_keys % span])
+        self.pair_inv, self.cross_inv = inverse[:, :k], inverse[:, k]
 
         self.neighbor_labels = train.labels[nb].astype(float)
         self._pool = pool

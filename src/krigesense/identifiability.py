@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .kernel import ReducedParams, make_grid
+from .kernel import ReducedParams, study_grid
 from .kriging import KrigingSystem
 from .parallel import _in_chunks, _open_pool
 
@@ -44,8 +44,7 @@ GAMMA_CAP = 1e12
 _REL_STEP = 1e-5
 
 _SCAN_OMEGA2 = 0.001
-_SCAN_GRID = make_grid(1, 21, exclude=0.5)
-_SCAN_POINT = 0.5
+_SCAN_GRID, _SCAN_POINT = study_grid(1)
 # a scan prices whole nu rows together until a block holds this many
 # cells: a small scan takes few calls, and a res-100 row (100 cells, 400
 # systems) stays one block, so the default scan's memory does not change

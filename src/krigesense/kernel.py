@@ -1,13 +1,14 @@
-"""Matern correlation and covariance, kernel matrices, evaluation grids.
+"""Matern correlation and covariance, kernel matrices, evaluation grids
+and the study layouts.
 
 The correlation follows the sqrt(2 nu) d / rho argument convention inside
 both the power term and the Bessel term. Half-integer smoothness values
 use their textbook closed forms, each filling the rows whose order it
 matches; every other order goes through the log-space Bessel path so the
 Gamma(nu) / 2^(nu-1) prefactor cannot overflow at small nu or tiny
-distance. Pairwise Euclidean distances come from one numpy helper that
-forms the same sum as scipy.spatial's cdist, so the package needs only
-scipy.special.
+distance. Euclidean distances, as tables or between paired rows, come
+from one numpy helper that forms the same sum as scipy.spatial's cdist,
+so the package needs only scipy.special.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "matern_covariance",
     "kernel_matrix",
     "make_grid",
+    "study_grid",
 ]
 
 _LN2 = math.log(2.0)
@@ -108,7 +110,7 @@ class LocationSet:
         if not np.all(np.isfinite(pts)):
             raise ValueError("locations must be finite")
         if pts.shape[0] > 1:
-            dist = _distances(pts, pts)
+            dist = _distances(pts[:, None], pts)
             np.fill_diagonal(dist, np.inf)
             if dist.min() <= 1e-12:
                 raise ValueError(
@@ -127,18 +129,21 @@ class LocationSet:
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between the rows of a and b.
+    """Euclidean distances between the rows of a and b, coordinates on the
+    last axis, broadcast over the rest: _distances(a[:, None], b) is the
+    (len(a), len(b)) table, and two equal-length row sets give their
+    paired distances.
 
     The squared coordinate differences are summed in coordinate order,
     the sum scipy.spatial.distance.cdist forms, so every entry equals
-    cdist's bit for bit. One table of the result's size is held beside it.
+    cdist's bit for bit. One array of the result's size is held beside it.
     """
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out = np.subtract(a[..., 0], b[..., 0])
     out *= out
-    if a.shape[1] > 1:
+    if a.shape[-1] > 1:
         diff = np.empty_like(out)
-        for j in range(1, a.shape[1]):
-            np.subtract.outer(a[:, j], b[:, j], out=diff)
+        for j in range(1, a.shape[-1]):
+            np.subtract(a[..., j], b[..., j], out=diff)
             diff *= diff
             out += diff
     return np.sqrt(out, out=out)
@@ -254,18 +259,14 @@ def kernel_matrix(a: LocationSet, b: LocationSet,
     if a.dimension != b.dimension:
         raise ValueError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    uniq, inv = _distinct(_distances(a.points, b.points))
+    uniq, inv = _distinct(_distances(a.points[:, None], b.points))
     return matern_covariance(uniq, params)[inv]
 
 
 def make_grid(dimension: int, count_per_axis: int,
               exclude=None) -> LocationSet:
-    """Uniform grid on [0, 1]^dimension, optionally minus one point.
-
-    The 1-D identifiability grid is make_grid(1, 21, exclude=0.5): 21
-    equispaced points with the prediction location removed, leaving 20.
-    The 2-D study grid is make_grid(2, 4): the 4 x 4 = 16-point lattice.
-    """
+    """Uniform grid on [0, 1]^dimension, optionally minus one point; the
+    study layouts below are two of these."""
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     if count_per_axis < 1:
@@ -281,6 +282,21 @@ def make_grid(dimension: int, count_per_axis: int,
         if target.shape != (dimension,):
             raise ValueError(
                 f"exclude must be a {dimension}-coordinate, got {exclude}")
-        keep = np.linalg.norm(pts - target[None, :], axis=1) > 1e-12
-        pts = pts[keep]
+        pts = pts[_distances(pts, target) > 1e-12]
     return LocationSet(points=pts)
+
+
+# the study layouts, each predicting at the centre of [0, 1]^d: in 1-D, 21
+# equispaced points minus the prediction location, leaving 20; in 2-D, the
+# 4 x 4 = 16-point lattice
+_STUDY_LAYOUTS = {1: (make_grid(1, 21, exclude=0.5), np.array([0.5])),
+                  2: (make_grid(2, 4), np.array([0.5, 0.5]))}
+
+
+def study_grid(grid_dimension: int) -> tuple:
+    """(training locations, prediction point) of the 1-D or 2-D study,
+    which the Sobol studies and the collinearity scan share."""
+    if grid_dimension not in _STUDY_LAYOUTS:
+        raise ValueError(
+            f"grid_dimension must be 1 or 2, got {grid_dimension}")
+    return _STUDY_LAYOUTS[grid_dimension]

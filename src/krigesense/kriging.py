@@ -92,9 +92,7 @@ class KrigingSystem:
     per-row results through rows.
     """
 
-    train: LocationSet
     pred: np.ndarray
-    params: ReducedParams
     factor: linalg.SpdFactor
     cross: np.ndarray
     rows: np.ndarray
@@ -127,7 +125,7 @@ class KrigingSystem:
         # the diagonal distances are exactly 0
         n = train.count
         uniq, inv = _distinct(
-            _distances(np.vstack([train.points, pt]), train.points))
+            _distances(np.vstack([train.points, pt])[:, None], train.points))
         corr = matern_correlation(uniq, rho[pair_rows, None],
                                   nu[pair_rows, None])[pair_inv[system_rows]]
         diag = np.arange(n)
@@ -137,7 +135,7 @@ class KrigingSystem:
             systems[:, diag, diag] += omega2[system_rows[which], None]
             return systems
 
-        return cls(train=train, pred=pt, params=params,
+        return cls(pred=pt,
                    factor=linalg._factor_in_place(assemble(slice(None)),
                                                   assemble),
                    cross=np.take(corr, inv[n], axis=1),
@@ -232,8 +230,8 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
     block = max(1, _SORT_VALUES // len(points))
     for start in range(0, nq, block):
         stop = min(start + block, nq)
-        order = np.argsort(_distances(queries[start:stop], points), axis=1,
-                           kind="stable")
+        order = np.argsort(_distances(queries[start:stop, None], points),
+                           axis=1, kind="stable")
         if exclude_self:
             own = np.arange(start, stop)[:, None]
             order = order[order != own].reshape(stop - start, -1)

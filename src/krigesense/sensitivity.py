@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .kernel import LocationSet, ReducedParams, _check_params, make_grid
+from .kernel import LocationSet, ReducedParams, _check_params, study_grid
 from .kriging import KrigingSystem, kriging_weights
 from .parallel import _in_chunks, _open_pool
 
@@ -61,22 +61,9 @@ _BOOTSTRAP_BLOCK = 25
 # once and a study's memory does not grow with the host's core count
 _CALLS_IN_FLIGHT = 2
 
-STUDY_GRID_1D = make_grid(1, 21, exclude=0.5)
-STUDY_POINT_1D = np.array([0.5])
-STUDY_GRID_2D = make_grid(2, 4)
-STUDY_POINT_2D = np.array([0.5, 0.5])
-
 
 class UndefinedSharesError(ArithmeticError):
     """Raised when the total variance or the index sum is not positive."""
-
-
-def study_grid(grid_dimension: int) -> Tuple[LocationSet, np.ndarray]:
-    if grid_dimension == 1:
-        return STUDY_GRID_1D, STUDY_POINT_1D
-    if grid_dimension == 2:
-        return STUDY_GRID_2D, STUDY_POINT_2D
-    raise ValueError(f"grid_dimension must be 1 or 2, got {grid_dimension}")
 
 
 @dataclass(frozen=True)

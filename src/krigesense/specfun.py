@@ -1,18 +1,19 @@
 """Modified Bessel function of the second kind, K_nu, for real order.
 
-Linear-space evaluation goes through scipy's AMOS-backed routine. The log
-variant is one array path, which the scalar call runs on a single value.
-It works from the exponentially scaled form so that it stays finite over
-the whole supported domain (nu in [0, 50], x in (0, 700]); in the corner
-where even the scaled value overflows (large nu together with tiny x) it
-switches to an ascending series evaluated fully in log space.
+Every value comes from one log-space array path, the package's only
+call into scipy's AMOS routines: the scalar log call runs it on a single
+value, and the linear-space call exponentiates that. It works from the
+exponentially scaled form so that it stays finite over the whole
+supported domain (nu in [0, 50], x in (0, 700]); in the corner where even
+the scaled value overflows (large nu together with tiny x) it switches
+to an ascending series evaluated fully in log space.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import kv, kve
+from scipy.special import kve
 
 NU_MAX = 50.0
 X_MAX = 700.0
@@ -35,19 +36,16 @@ def _check_domain(nu: float, x: float) -> tuple[float, float]:
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """K_nu(x) in linear space.
+    """K_nu(x) in linear space: exp(bessel_k_log(nu, x)).
 
     Raises OverflowError when the value exceeds the double range (small x
     with large nu); callers that need that regime use bessel_k_log.
     """
-    nu, x = _check_domain(nu, x)
-    value = float(kv(nu, x))
-    if math.isinf(value):
-        raise OverflowError(
-            f"K_{nu}({x}) exceeds the double range; use bessel_k_log")
-    if math.isnan(value):
-        raise ArithmeticError(f"K_{nu}({x}) evaluation failed")
-    return value
+    try:
+        return math.exp(bessel_k_log(nu, x))
+    except OverflowError:
+        raise OverflowError(f"K_{float(nu)}({float(x)}) exceeds the double "
+                            "range; use bessel_k_log") from None
 
 
 def bessel_k_log(nu: float, x: float) -> float:

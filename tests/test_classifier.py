@@ -70,11 +70,11 @@ def test_covariance_row_blocks_equal_whole_table_rows(q, block, general,
               if general else GENERATOR_PARAMS)
     m = data.draw(st.integers(1, 30))
     x = data.draw(arrays(np.float64, (m, q), elements=st.floats(0.0, 1.0)))
-    whole = matern_covariance(_distances(x, x), params)
+    whole = matern_covariance(_distances(x[:, None], x), params)
     block = block or m
     for start in range(0, m, block):
         rows = slice(start, start + block)
-        got = matern_covariance(_distances(x[rows], x), params)
+        got = matern_covariance(_distances(x[rows, None], x), params)
         assert got.tobytes() == whole[rows].tobytes()
 
 
@@ -96,7 +96,7 @@ def test_synth_dataset_matches_copying_spd_factor(m, q, normalize,
     if normalize:
         feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     factor = linalg.spd_factor(
-        matern_covariance(_distances(feats, feats), GENERATOR_PARAMS))
+        matern_covariance(_distances(feats[:, None], feats), GENERATOR_PARAMS))
     assert factor.jitter_used == 0.0
     latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
     factors = []
@@ -304,12 +304,14 @@ def test_local_plan_latent_means_match_plain_solve(loo, count, omega2,
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("loo", [True, False])
-def test_local_plan_gathers_cdist_correlations_exactly(loo, monkeypatch):
-    # in two dimensions the plan's distance table forms the same
-    # floating-point sum as cdist, so the gathered values are exact
+def test_local_plan_gathers_cdist_correlations_exactly(q, loo, monkeypatch):
+    # the plan's distance table comes from kernel._distances, the same
+    # floating-point sum as cdist in any dimension, so the gathered values
+    # are exact
     small_chunks(monkeypatch)
-    data = synth_dataset(160, 2, seed=11)
+    data = synth_dataset(160, q, seed=11)
     train = LabeledSet(features=data.features[:120],
                        labels=data.labels[:120])
     query = train.features if loo else data.features[120:]

@@ -193,9 +193,13 @@ def test_distances_equal_cdist_bitwise(q, rows, scales, data):
     b = data.draw(arrays(np.float64, (rows[1], q), elements=_COORDINATE))
     a, b = a * scale, b * scale
     b[0] = a[-1]
-    got = _distances(a, b)
+    got = _distances(a[:, None], b)
     assert got.shape == (rows[0], rows[1])
     assert got.tobytes() == cdist(a, b).tobytes()
+    # equal-length row sets give the paired distances, cdist's bits too
+    pick = np.arange(rows[0]) % rows[1]
+    paired = _distances(a, b[pick])
+    assert paired.tobytes() == cdist(a, b)[np.arange(rows[0]), pick].tobytes()
 
 
 def test_stacked_parameters_validated_elementwise():

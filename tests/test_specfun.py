@@ -144,8 +144,16 @@ def test_domain_errors():
 
 
 def test_linear_space_overflow_raises():
+    # the linear value is the log path's, exponentiated, bit for bit over
+    # criterion 1's grids
+    grid = [(nu, x) for nu in np.linspace(0.05, 5.0, 10)
+            for x in np.linspace(0.05, 50.0, 20)]
+    grid += [(nu, x) for nu in (0.5, 1.5, 2.5)
+             for x in np.linspace(0.05, 30.0, 25)]
+    for nu, x in grid:
+        assert specfun.bessel_k(nu, x) == math.exp(specfun.bessel_k_log(nu, x))
     # K_50(1e-8) is around e^1099, far over the double range
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="bessel_k_log"):
         specfun.bessel_k(50.0, 1e-8)
 
 
