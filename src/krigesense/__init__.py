@@ -4,7 +4,7 @@ kriging quantities, and a grid-search latent-GP classifier benchmark."""
 
 from .specfun import bessel_k, bessel_k_log
 from .linalg import (NotPositiveDefiniteError, SpdFactor, spd_factor,
-                     spd_factor_stack, spd_solve, sym_eigenvalues)
+                     spd_solve, sym_eigenvalues)
 from .kernel import (LocationSet, MaternParams, ReducedParams,
                      kernel_matrix, make_grid, matern_correlation,
                      matern_covariance)
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "bessel_k", "bessel_k_log",
-    "NotPositiveDefiniteError", "SpdFactor", "spd_factor",
-    "spd_factor_stack", "spd_solve", "sym_eigenvalues",
+    "NotPositiveDefiniteError", "SpdFactor", "spd_factor", "spd_solve",
+    "sym_eigenvalues",
     "LocationSet", "MaternParams", "ReducedParams", "kernel_matrix",
     "make_grid", "matern_correlation", "matern_covariance",
     "KrigingSystem", "KrigingWeights", "kriging_variance",

@@ -300,9 +300,11 @@ class _LocalPlan:
         the correlation gives as exactly 1, to 1 + omega2 and solves. The
         systems are positive definite by construction once omega2 clears
         roundoff scale and go through LU solves; below _PD_PROBE_BELOW,
-        linalg.spd_factor_stack factors the block, each system with the
-        jitter linalg's ladder gives it alone, and linalg.spd_solve solves
-        from those factors.
+        linalg._factor_in_place factors a copy of the block, each system
+        with the jitter linalg's ladder gives it alone, and
+        linalg.spd_solve solves from those factors. The copy is needed
+        because the gathered block is reused for the next omega2; the
+        block is not checked, being symmetric and finite by construction.
         """
         omegas = np.atleast_1d(np.asarray(omega2, dtype=float))
         values, labels = self._values, self.neighbor_labels
@@ -318,8 +320,8 @@ class _LocalPlan:
             for row, w in zip(means, omegas):
                 systems[:, diag, diag] = 1.0 + w
                 if w < _PD_PROBE_BELOW:
-                    solved = linalg.spd_solve(
-                        linalg.spd_factor_stack(systems), block)
+                    solved = linalg.spd_solve(linalg._factor_in_place(
+                        systems.copy(), systems.__getitem__), block)
                 else:
                     solved = np.linalg.solve(systems, block[:, :, None])
                 row[start:stop] = np.einsum("nk,nk->n", cross,
@@ -381,7 +383,6 @@ def grid_search(train: LabeledSet, grid: GridSpec,
     started = time.perf_counter()
     best = -1.0
     tied: List[Tuple[float, float, float]] = []
-    evaluations = 0
     with _open_pool() as pool:
         plan = _LocalPlan(train, train.features, k, exclude_self=True,
                           pool=pool)
@@ -391,7 +392,6 @@ def grid_search(train: LabeledSet, grid: GridSpec,
                 latents = plan.latent_means(grid.omega2_values)
                 for omega2, latent in zip(grid.omega2_values, latents):
                     score = float(np.mean(_signs(latent) == train.labels))
-                    evaluations += 1
                     if score > best:
                         best = score
                         tied = [(rho, nu, omega2)]
@@ -403,7 +403,7 @@ def grid_search(train: LabeledSet, grid: GridSpec,
     wall = time.perf_counter() - started
     trial = TrialResult(subset=grid.subset, train_size=train.count,
                         accuracy=best, wall_time=wall,
-                        evaluations=evaluations)
+                        evaluations=grid.size)
     return selected, trial
 
 

@@ -92,7 +92,6 @@ class KrigingSystem:
     per-row results through rows.
     """
 
-    pred: np.ndarray
     factor: linalg.SpdFactor
     cross: np.ndarray
     rows: np.ndarray
@@ -107,8 +106,8 @@ class KrigingSystem:
         (rho, nu), and each distinct (rho, nu, omega2) is assembled and
         factored once, in place, by linalg._factor_in_place; a system
         that fails the plain Cholesky is assembled again for the jitter
-        ladder and gets the factor and jitter_used spd_factor_stack
-        would give it. Every step works per system, so a row gives the
+        ladder and gets the factor and jitter_used spd_factor would
+        give it. Every step works per system, so a row gives the
         same bits alone, in any stack, or as a repeat.
         """
         pt = _as_point(pred, train.dimension)
@@ -135,8 +134,7 @@ class KrigingSystem:
             systems[:, diag, diag] += omega2[system_rows[which], None]
             return systems
 
-        return cls(pred=pt,
-                   factor=linalg._factor_in_place(assemble(slice(None)),
+        return cls(factor=linalg._factor_in_place(assemble(slice(None)),
                                                   assemble),
                    cross=np.take(corr, inv[n], axis=1),
                    rows=system_inv.reshape(np.broadcast(*fields).shape))
@@ -164,15 +162,13 @@ class KrigingSystem:
 class KrigingWeights:
     weights: np.ndarray
     train_ref: LocationSet
-    pred_ref: np.ndarray
 
 
 def kriging_weights(train: LocationSet, pred,
                     params: ReducedParams) -> KrigingWeights:
     """Solve (Omega + omega2 I) w = c for the weight vector(s)."""
     system = KrigingSystem.build(train, pred, params)
-    return KrigingWeights(weights=system.weights(), train_ref=train,
-                          pred_ref=system.pred)
+    return KrigingWeights(weights=system.weights(), train_ref=train)
 
 
 def predict_mean(weights: KrigingWeights, y):

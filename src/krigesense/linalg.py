@@ -3,11 +3,11 @@
 The factorization wraps LAPACK Cholesky inside a jitter ladder so that
 kernel matrices that are PSD-but-numerically-singular (nugget-free smooth
 kernels) still factor; the ladder scales are relative to the mean
-diagonal. Every stack, one matrix included, is factored in place by one
-routine, and its input is checked once, where it enters. One factor or a
-factored stack is solved by the same forward and back substitution,
-elementwise across the stack. Eigenvalues of the p <= 8 matrices the
-collinearity index needs, one matrix or a stack, come from LAPACK's
+diagonal. spd_factor takes one matrix or a stack, checks its input once,
+where it enters, and factors a copy in place by one routine, which the
+kriging systems also use. One factor or a factored stack is solved by
+the same forward and back substitution, elementwise across the stack.
+Eigenvalues of one symmetric matrix or a stack come from LAPACK's
 symmetric eigensolver.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "JITTER_LADDER",
     "spd_factor",
-    "spd_factor_stack",
     "spd_solve",
     "sym_eigenvalues",
 ]
@@ -41,7 +40,6 @@ class SpdFactor:
     """Lower Cholesky factor of (matrix + jitter_used * I): lower (n, n) and
     a float jitter_used for one matrix, (N, n, n) and (N,) for a stack."""
 
-    dimension: int
     lower: np.ndarray
     jitter_used: float | np.ndarray
 
@@ -65,30 +63,28 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def spd_factor(matrix: np.ndarray) -> SpdFactor:
-    """Cholesky with an escalating diagonal jitter ladder: one square
-    symmetric matrix factored as a stack of one by spd_factor_stack.
+    """Cholesky with an escalating diagonal jitter ladder, of one square
+    symmetric matrix or an (N, n, n) stack of them.
 
-    Ladder scales are multiples of the mean diagonal: 0, 1e-12, 1e-10,
-    1e-8. jitter_used records the absolute jitter that succeeded.
+    Ladder scales are multiples of each matrix's mean diagonal: 0, 1e-12,
+    1e-10, 1e-8. jitter_used records the absolute jitter that succeeded.
+    A stack is checked once and factored on a copy, one batched Cholesky
+    per rung; each system gets the factor and jitter_used it gets alone,
+    and the first system the whole ladder cannot fix raises
+    NotPositiveDefiniteError. Stacks inside the package go through
+    _factor_in_place: a benchmark tracer wraps this name and reads
+    jitter_used as one float.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"one square matrix required, got shape {a.shape}")
-    factor = spd_factor_stack(a[None])
-    return SpdFactor(dimension=a.shape[0], lower=factor.lower[0],
+    a = _require_symmetric(matrix)
+    if a.ndim > 3:
+        raise ValueError(f"one square matrix or an (N, n, n) stack "
+                         f"required, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    factor = _factor_in_place(stack.copy(), stack.__getitem__)
+    if a.ndim == 3:
+        return factor
+    return SpdFactor(lower=factor.lower[0],
                      jitter_used=float(factor.jitter_used[0]))
-
-
-def spd_factor_stack(stack: np.ndarray) -> SpdFactor:
-    """Factor an (N, n, n) stack of symmetric matrices, one batched
-    Cholesky per jitter rung, on a copy, after one check of the whole
-    stack. A system gets the factor and jitter_used it gets alone, and
-    the first system the whole ladder cannot fix raises
-    NotPositiveDefiniteError."""
-    stack = _require_symmetric(stack)
-    if stack.ndim != 3:
-        raise ValueError(f"(N, n, n) stack required, got shape {stack.shape}")
-    return _factor_in_place(stack.copy(), lambda which: stack[which])
 
 
 def _cholesky_or_nan(stack: np.ndarray, out=None) -> np.ndarray:
@@ -136,8 +132,7 @@ def _factor_in_place(stack: np.ndarray, rebuild) -> SpdFactor:
             raise NotPositiveDefiniteError(
                 f"matrix not positive definite after jitter ladder "
                 f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
-    return SpdFactor(dimension=lower.shape[-1], lower=lower,
-                     jitter_used=jitter)
+    return SpdFactor(lower=lower, jitter_used=jitter)
 
 
 def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
@@ -153,7 +148,7 @@ def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     """
     lower = factor.lower
     stacked = lower.ndim == 3
-    n = factor.dimension
+    n = lower.shape[-1]
     want = (lower.shape[0], n) if stacked else (n,)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != want:
@@ -177,10 +172,7 @@ def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
 
 
 def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, sorted nonincreasing; an
+    """Eigenvalues of a symmetric matrix, sorted nonincreasing; an
     (..., p, p) stack gives (..., p), each matrix checked on its own."""
     a = _require_symmetric(matrix)
-    if a.shape[-1] > 8:
-        raise ValueError(
-            f"sym_eigenvalues supports p <= 8, got {a.shape[-1]}")
     return np.linalg.eigvalsh(a)[..., ::-1].copy()

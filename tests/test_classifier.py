@@ -16,7 +16,7 @@ from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
-                               _distances, matern_correlation,
+                               _distances, _distinct, matern_correlation,
                                matern_covariance)
 from krigesense.kriging import kriging_weights
 
@@ -333,6 +333,24 @@ def test_local_plan_gathers_cdist_correlations_exactly(q, loo, monkeypatch):
     assert np.array_equal(plan.neighbor_labels, train.labels[nb])
 
 
+def test_pair_keys_switch_to_int64_once_span_squared_passes_int32():
+    # span**2 is 2,147,395,600 < 2**31 at 46,340 and 2.5e9 at 50,000; the
+    # largest keys, near span**2, then overflow int32
+    for span, dtype in ((46_340, np.int32), (50_000, np.int64)):
+        nb = np.array([[0, span - 1, 7], [span - 2, 3, span - 1]],
+                      dtype=np.intp)
+        query_ids = np.array([span - 3, 1], dtype=np.intp)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            keys = classifier._pair_keys(nb, query_ids, span, pool)
+        assert keys.dtype == dtype
+        rows = np.column_stack([nb, query_ids]).astype(np.int64)[:, :, None]
+        cols = nb.astype(np.int64)[:, None, :]
+        want = np.minimum(rows, cols) * span + np.maximum(rows, cols)
+        assert np.array_equal(keys, want)
+        unique, inverse = _distinct(keys)
+        assert np.array_equal(unique[inverse], keys)
+
+
 def test_local_plan_init_traced_peak(traced_peak):
     # int32 pair keys (8.2 MB at m=800, k=50), their int32 inverse and
     # neighbor rows sorted in blocks, with no (800, 50, 50) system buffer:
@@ -379,7 +397,7 @@ def test_latent_means_over_omega2_values_match_whole_stack(workers, chunks,
         systems = plan._values[plan.pair_inv]
         systems[:, np.arange(11), np.arange(11)] = 1.0 + omega2
         if omega2 < classifier._PD_PROBE_BELOW:
-            solved = linalg.spd_solve(linalg.spd_factor_stack(systems),
+            solved = linalg.spd_solve(linalg.spd_factor(systems),
                                       plan.neighbor_labels)
         else:
             solved = np.linalg.solve(systems,
@@ -434,7 +452,7 @@ def test_rung_mix_stack_factors_as_each_system_alone():
         plan.correlation(1.0, 5.0)
     systems = plan._values[plan.pair_inv]
     systems[:, np.arange(8), np.arange(8)] = 1.0
-    f = linalg.spd_factor_stack(systems)
+    f = linalg.spd_factor(systems)
     assert np.count_nonzero(f.jitter_used) == 6
     for i, matrix in enumerate(systems):
         alone = linalg.spd_factor(matrix)

@@ -102,7 +102,7 @@ def test_predict_mean_zero_observations():
 def test_predict_mean_picks_out_component():
     train = LocationSet(np.array([0.0, 1.0, 2.0]))
     w = kriging.KrigingWeights(weights=np.array([0.0, 1.0, 0.0]),
-                               train_ref=train, pred_ref=np.array([1.0]))
+                               train_ref=train)
     y = np.array([3.5, -2.25, 7.0])
     assert predict_mean(w, y) == -2.25
 
