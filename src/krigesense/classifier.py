@@ -26,6 +26,7 @@ Candidates are scored one after another.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +68,15 @@ _PD_PROBE_BELOW = 1e-6
 # takes rows in blocks of about this many values too
 _VALUES_PER_CHUNK = 16384
 _SYSTEMS_PER_CHUNK = 50
+
+# glibc's malloc_trim, which returns the C heap's free pages to the OS, or
+# None where the C library has none
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -146,13 +156,6 @@ class GridSpec:
         return (len(self.nu_values) * len(self.rho_values)
                 * len(self.omega2_values))
 
-    def candidates(self) -> List[ReducedParams]:
-        """All grid points, nu outermost, omega2 innermost."""
-        return [ReducedParams(rho=r, nu=n, omega2=o)
-                for n in self.nu_values
-                for r in self.rho_values
-                for o in self.omega2_values]
-
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -164,32 +167,34 @@ class TrialResult:
     iteration: int = 0
 
 
-def synth_dataset(m: int, q: int, seed: int,
-                  normalize: bool = False) -> LabeledSet:
+def synth_dataset(m: int, q: int, seed: int) -> LabeledSet:
     """Draw a labeled set from the latent-GP generator.
 
-    Features are uniform on [0, 1]^q (optionally scaled to unit row
-    norm); the latent field is one draw from the GENERATOR_PARAMS Matern
-    model over those features. Labels split the latent values at their
-    median, which centers the draw and leaves exactly m/2 points per
-    class. The m x m covariance is filled in blocks of whole rows, about
-    _VALUES_PER_CHUNK entries each, so the fill holds no second table of
-    its size; each entry carries the bits a whole-table fill gives it.
-    The covariance is then factored in place by linalg._factor_in_place,
-    with spd_factor's bits: its 0.01 nugget keeps every eigenvalue above
-    the ladder's rungs, so rung 0 must succeed, and the draw raises
-    NotPositiveDefiniteError, never jitters, if it does not.
+    Features are uniform on [0, 1]^q; the latent field is one draw from
+    the GENERATOR_PARAMS Matern model over those features. Labels split
+    the latent values at their median, which centers the draw and leaves
+    exactly m/2 points per class. The m x m covariance is filled in
+    blocks of whole rows, about _VALUES_PER_CHUNK entries each, so the
+    fill holds no second table of its size; each entry carries the bits
+    a whole-table fill gives it. The covariance is then factored in
+    place by linalg._factor_in_place, with spd_factor's bits: its 0.01
+    nugget keeps every eigenvalue above the ladder's rungs, so rung 0
+    must succeed, and the draw raises NotPositiveDefiniteError, never
+    jitters, if it does not.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     feats = rng.stream(seed, 1).random((m, q))
-    if normalize:
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        if not np.all(norms > 0.0):
-            raise ArithmeticError("zero-norm feature row")
-        feats = feats / norms
+    # Freed tables of earlier calls stay resident, and the small blocks a
+    # caller keeps alive split that memory into pieces smaller than the
+    # covariance and the factor's work buffer, which then grow the heap
+    # instead (one more 1200 x 1200 table, 11 MiB, in some runs). With the
+    # free pages returned first, the draw adds to the resident set what it
+    # touches, wherever its tables land.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     cov = np.empty((m, m))
     block = max(1, _VALUES_PER_CHUNK // m)
     for start in range(0, m, block):

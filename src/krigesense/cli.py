@@ -106,14 +106,9 @@ def _cmd_collinearity(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_sobol(args: argparse.Namespace) -> Dict[str, Any]:
     response = ("weights" if args.response == "weights"
                 else "prediction_variance")
-    if args.omega2 == "vary":
-        mode, value = "varying", None
-    else:
-        mode, value = "fixed", float(args.omega2)
+    omega2 = None if args.omega2 == "vary" else float(args.omega2)
     config = StudyConfig(grid_dimension=args.dim, response=response,
-                         omega2_mode=mode, omega2_value=value,
-                         include_sigma2=response == "prediction_variance",
-                         sample_budget=args.n, seed=args.seed)
+                         omega2=omega2, sample_budget=args.n, seed=args.seed)
     result = run_study(config)
     header = ["input", "total_index", "percent_share", "bootstrap_halfwidth"]
     rows = [(name, _fmt(result.total_index[i]),

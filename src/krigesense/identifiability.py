@@ -232,14 +232,12 @@ def _scan_gammas(thetas: np.ndarray) -> list:
 
 
 def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
-                      resolution: int = 100,
-                      output_kind: str = "correlation_curve",
-                      ) -> List[CollinearityCell]:
+                      resolution: int = 100) -> List[CollinearityCell]:
     """gamma over a (nu, rho) grid for both scan outputs.
 
     Every cell carries gamma for the correlation curve and for the
     kriging weights (fixed omega2 = 0.001, 20-point 1-D grid, prediction
-    at 0.5); the band field reflects output_kind. Cells that fail to
+    at 0.5); band is the correlation curve's band. Cells that fail to
     evaluate get NaN gammas and band "failed"; failures are collected and
     reported as a warning instead of aborting the scan. Cell order is
     row-major in (nu index, rho index). Consecutive nu rows form one
@@ -252,8 +250,6 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     (one block runs inline) and put together in block order, so cells
     and the warning do not depend on the pool size.
     """
-    if output_kind not in ("correlation_curve", "kriging_weights"):
-        raise ValueError(f"unknown output_kind {output_kind!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     for name, (lo, hi) in (("grid_nu", tuple(grid_nu)),
@@ -287,11 +283,9 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
         for nu, rho, (g_corr, g_wts, reason) in zip(*thetas.T, block):
             if reason is not None:
                 failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {reason!r}")
-            chosen = (g_corr if output_kind == "correlation_curve"
-                      else g_wts)
             cells.append(CollinearityCell(
                 nu=float(nu), rho=float(rho), gamma_correlation=float(g_corr),
-                gamma_weights=float(g_wts), band=band_of(chosen)))
+                gamma_weights=float(g_wts), band=band_of(g_corr)))
     if failures:
         warnings.warn(
             f"{len(failures)} scan cell(s) failed; first: {failures[0]}",

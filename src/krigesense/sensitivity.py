@@ -102,13 +102,14 @@ class ParamBox:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One Sobol study row: grid, response, nugget handling, budget."""
+    """One Sobol study row: grid, response, omega2, budget.
+
+    omega2 None varies the nugget ratio over its DEFAULT_RANGES range;
+    otherwise it is held at that value, one of FIXED_OMEGA2_CHOICES."""
 
     grid_dimension: int = 1
     response: str = "weights"
-    omega2_mode: str = "varying"
-    omega2_value: Optional[float] = None
-    include_sigma2: bool = False
+    omega2: Optional[float] = None
     sample_budget: int = 1024
     seed: int = 0
 
@@ -118,19 +119,10 @@ class StudyConfig:
                 f"grid_dimension must be 1 or 2, got {self.grid_dimension}")
         if self.response not in ("weights", "prediction_variance"):
             raise ValueError(f"unknown response {self.response!r}")
-        if self.omega2_mode not in ("fixed", "varying"):
-            raise ValueError(f"unknown omega2_mode {self.omega2_mode!r}")
-        if self.omega2_mode == "fixed":
-            if self.omega2_value not in FIXED_OMEGA2_CHOICES:
-                raise ValueError(
-                    f"fixed omega2 must be one of {FIXED_OMEGA2_CHOICES}, "
-                    f"got {self.omega2_value}")
-        elif self.omega2_value is not None:
-            raise ValueError("omega2_value only applies to fixed mode")
-        if self.response == "weights" and self.include_sigma2:
+        if self.omega2 is not None and self.omega2 not in FIXED_OMEGA2_CHOICES:
             raise ValueError(
-                "weights do not depend on sigma2; include_sigma2 must be "
-                "False for the weights response")
+                f"fixed omega2 must be one of {FIXED_OMEGA2_CHOICES}, "
+                f"got {self.omega2}")
         if self.sample_budget < 256:
             raise ValueError("sample_budget must be >= 256")
 
@@ -186,12 +178,15 @@ def response_weights(params: ReducedParams, location_index,
     the prediction at 0.5; 16-point 2-D lattice with the prediction at
     the center); pass train/point explicitly to override. A float for
     scalar parameters; for (N,) parameter arrays, location_index holds
-    one index per row and an (N,) array comes back.
+    one index per row and an (N,) array comes back. An index must be a
+    whole number inside the grid.
     """
+    idx = np.asarray(location_index).astype(int)
+    if np.any(idx != location_index):
+        raise ValueError(f"location_index {location_index} is not an integer")
     if train is None:
         train, point = study_grid(grid_dimension)
     w = kriging_weights(train, point, params).weights
-    idx = np.asarray(location_index).astype(int)
     if np.any((idx < 0) | (idx >= w.shape[-1])):
         raise ValueError(
             f"location_index {location_index} outside [0, {w.shape[-1]})")
@@ -368,38 +363,31 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
 def run_study(config: StudyConfig) -> SobolResult:
     """One study row: wire the response and active inputs, run sobol_total.
 
-    Active inputs, in order: sigma2 (variance response only, when
-    included), rho, nu, omega2 (when varying), and the location factor x
-    (weights response only). Fixed-omega2 rows drop omega2 from the
-    inputs entirely; a variance study without sigma2 holds it at 1.
+    Active inputs, in order: sigma2 (variance response only), rho, nu,
+    omega2 (when config.omega2 is None, so varied), and the location
+    factor x (weights response only). A fixed-omega2 row drops omega2
+    from the inputs entirely.
     """
-    active = []
-    if config.response == "prediction_variance" and config.include_sigma2:
-        active.append("sigma2")
-    active.extend(["rho", "nu"])
-    if config.omega2_mode == "varying":
+    variance = config.response == "prediction_variance"
+    active = (["sigma2"] if variance else []) + ["rho", "nu"]
+    if config.omega2 is None:
         active.append("omega2")
     box = ParamBox.defaults(tuple(active))
 
-    fixed_omega2 = (config.omega2_value
-                    if config.omega2_mode == "fixed" else None)
     train, point = study_grid(config.grid_dimension)
     positions = {name: j for j, name in enumerate(active)}
 
     def f(rows: np.ndarray) -> np.ndarray:
-        def column(name: str, default=None):
-            return rows[:, positions[name]] if name in positions else default
+        rho, nu = rows[:, positions["rho"]], rows[:, positions["nu"]]
+        omega2 = (rows[:, positions["omega2"]] if config.omega2 is None
+                  else config.omega2)
+        if variance:
+            return response_variance(rows[:, positions["sigma2"]], rho, nu,
+                                     omega2, train=train, point=point)
+        params = ReducedParams(rho=rho, nu=nu, omega2=omega2)
+        return response_weights(params, rows[:, len(active)].astype(int),
+                                train=train, point=point)
 
-        omega2 = column("omega2", fixed_omega2)
-        if config.response == "weights":
-            params = ReducedParams(rho=column("rho"), nu=column("nu"),
-                                   omega2=omega2)
-            return response_weights(params, rows[:, len(active)].astype(int),
-                                    train=train, point=point)
-        return response_variance(column("sigma2", 1.0), column("rho"),
-                                 column("nu"), omega2, train=train,
-                                 point=point)
-
-    location_count = train.count if config.response == "weights" else None
     return sobol_total(f, box, base_count=config.sample_budget,
-                       seed=config.seed, location_count=location_count)
+                       seed=config.seed,
+                       location_count=None if variance else train.count)

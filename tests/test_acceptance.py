@@ -47,12 +47,10 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1.0)
 
 
-def _study(dim, mode, value=None, response="weights", include_sigma2=False,
-           budget=2048):
+def _study(dim, omega2=None, response="weights", budget=2048):
     return run_study(StudyConfig(grid_dimension=dim, response=response,
-                                 omega2_mode=mode, omega2_value=value,
-                                 include_sigma2=include_sigma2,
-                                 sample_budget=budget, seed=SEED))
+                                 omega2=omega2, sample_budget=budget,
+                                 seed=SEED))
 
 
 def test_criterion_01_bessel_against_quadrature():
@@ -253,7 +251,7 @@ def test_criterion_07_one_dim_share_table():
     #     rho at small nugget; whether the study box is the paper's is the
     #     open question. The assertions are kept as stated.
     started = time.perf_counter()
-    rows = {v: _study(1, "fixed", v) for v in (0.0, 0.001, 0.01, 0.1)}
+    rows = {v: _study(1, v) for v in (0.0, 0.001, 0.01, 0.1)}
     zero = rows[0.0]
     a_ok = zero.share_of("rho") < 5.0 and zero.share_of("x") > 55.0
     a_note = (f"(a) rho {zero.share_of('rho'):.1f} x "
@@ -261,13 +259,12 @@ def test_criterion_07_one_dim_share_table():
 
     b_ok, b_note = _fixed_row_checks(rows)
 
-    vary = _study(1, "varying")
+    vary = _study(1)
     c_ok = all(vary.share_of(n) > 5.0 for n in ("rho", "nu", "omega2", "x"))
     c_note = "(c) " + " ".join(f"{n} {vary.share_of(n):.1f}"
                                for n in ("rho", "nu", "omega2", "x"))
 
-    var_row = _study(1, "varying", response="prediction_variance",
-                     include_sigma2=True)
+    var_row = _study(1, response="prediction_variance")
     order = [var_row.share_of(n) for n in ("nu", "sigma2", "rho", "omega2")]
     d_ok = all(order[i] > order[i + 1] for i in range(3))
     d_note = ("(d) nu {0:.1f} sigma2 {1:.1f} rho {2:.1f} omega2 {3:.1f}"
@@ -293,7 +290,7 @@ def test_criterion_08_two_dim_share_table():
     # the estimator, but the paper's box is not in the repository. The
     # assertions are kept as stated.
     started = time.perf_counter()
-    rows = {v: _study(2, "fixed", v) for v in (0.0, 0.001, 0.01, 0.1)}
+    rows = {v: _study(2, v) for v in (0.0, 0.001, 0.01, 0.1)}
     zero = rows[0.0]
     a_ok = zero.share_of("rho") < 5.0 and zero.share_of("x") > 60.0
     a_note = (f"(a) rho {zero.share_of('rho'):.1f} x "
@@ -301,13 +298,12 @@ def test_criterion_08_two_dim_share_table():
 
     b_ok, b_note = _fixed_row_checks(rows)
 
-    vary = _study(2, "varying")
+    vary = _study(2)
     c_ok = all(vary.share_of(n) > 5.0 for n in ("rho", "nu", "omega2", "x"))
     c_note = "(c) " + " ".join(f"{n} {vary.share_of(n):.1f}"
                                for n in ("rho", "nu", "omega2", "x"))
 
-    var_row = _study(2, "varying", response="prediction_variance",
-                     include_sigma2=True)
+    var_row = _study(2, response="prediction_variance")
     d_ok = var_row.share_of("nu") > var_row.share_of("sigma2")
     d_note = (f"(d) nu {var_row.share_of('nu'):.1f} vs sigma2 "
               f"{var_row.share_of('sigma2'):.1f}")

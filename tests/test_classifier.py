@@ -1,5 +1,6 @@
 """Tests for the latent-GP classification benchmark components."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -53,12 +54,6 @@ def test_synth_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.features, c.features)
 
 
-def test_synth_normalized_rows():
-    data = synth_dataset(16, 4, seed=2, normalize=True)
-    norms = np.linalg.norm(data.features, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-
-
 @given(q=st.integers(2, 5), block=st.sampled_from([1, 7, None]),
        general=st.booleans(), data=st.data())
 def test_covariance_row_blocks_equal_whole_table_rows(q, block, general,
@@ -85,16 +80,12 @@ def test_synth_dataset_traced_peak(traced_peak):
     assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 14_000_000
 
 
-@pytest.mark.parametrize("m, q, normalize", [(40, 2, False), (300, 3, True),
-                                             (1200, 2, False)])
-def test_synth_dataset_matches_copying_spd_factor(m, q, normalize,
-                                                  monkeypatch):
+@pytest.mark.parametrize("m, q", [(40, 2), (300, 3), (1200, 2)])
+def test_synth_dataset_matches_copying_spd_factor(m, q, monkeypatch):
     # the in-place factor carries spd_factor's bits for the same covariance,
     # so the latent draw and its labels are the copying path's
     seed = m + q
     feats = rng.stream(seed, 1).random((m, q))
-    if normalize:
-        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     factor = linalg.spd_factor(
         matern_covariance(_distances(feats[:, None], feats), GENERATOR_PARAMS))
     assert factor.jitter_used == 0.0
@@ -107,7 +98,7 @@ def test_synth_dataset_matches_copying_spd_factor(m, q, normalize,
         return factors[-1]
 
     monkeypatch.setattr(linalg, "_cholesky_or_nan", recorded)
-    data = synth_dataset(m, q, seed, normalize=normalize)
+    data = synth_dataset(m, q, seed)
     assert len(factors) == 1
     assert factors[0][0].tobytes() == factor.lower.tobytes()
     assert np.array_equal(data.features, feats)
@@ -120,6 +111,20 @@ def test_synth_dataset_raises_when_rung_zero_fails(monkeypatch):
                         lambda stack, out=None: np.full_like(stack, np.nan))
     with pytest.raises(linalg.NotPositiveDefiniteError):
         synth_dataset(10, 2, seed=0)
+
+
+def test_synth_dataset_returns_free_heap_first(monkeypatch):
+    # the draw gives the C heap's free pages back before its m x m tables,
+    # and its bits do not depend on it
+    calls = []
+    monkeypatch.setattr(classifier, "_malloc_trim",
+                        lambda pad: calls.append(pad) or 1)
+    data = synth_dataset(40, 2, seed=1)
+    assert calls == [0]
+    monkeypatch.setattr(classifier, "_malloc_trim", None)
+    again = synth_dataset(40, 2, seed=1)
+    assert again.features.tobytes() == data.features.tobytes()
+    assert again.labels.tobytes() == data.labels.tobytes()
 
 
 def test_synth_validation():
@@ -484,8 +489,10 @@ def test_classifier_outputs_independent_of_worker_count(monkeypatch):
 
     def run():
         selected, trial = grid_search(train, grid, k=10)
-        latent = [latent_from_plan(train, train.features, 10, True, c)
-                  for c in grid.candidates()]
+        latent = [latent_from_plan(train, train.features, 10, True,
+                                   ReducedParams(rho=r, nu=n, omega2=o))
+                  for n, r, o in itertools.product(
+                      grid.nu_values, grid.rho_values, grid.omega2_values)]
         return (selected, trial.accuracy, trial.evaluations,
                 classify(train, test_features, selected, k=10), latent)
 
@@ -610,7 +617,8 @@ def test_grid_spec_subset_layouts():
     for subset, size in sizes.items():
         grid = GridSpec.for_subset(subset)
         assert grid.size == size
-        assert len(grid.candidates()) == size
+        assert len(list(itertools.product(
+            grid.nu_values, grid.rho_values, grid.omega2_values))) == size
         assert grid.nu_values[0] == 0.01 and grid.nu_values[-1] == 2.5
         assert len(grid.nu_values) == 10
     assert GridSpec.for_subset("nu_only").rho_values == (2.5,)

@@ -220,9 +220,8 @@ def test_sobol_varying_study_and_determinism(tmp_path):
     manifest = read_manifest(a)
     assert manifest["seed"] == 7
     assert manifest["flags"]["n"] == 1024
-    config = StudyConfig(grid_dimension=1, response="weights",
-                         omega2_mode="varying", omega2_value=None,
-                         include_sigma2=False, sample_budget=1024, seed=7)
+    config = StudyConfig(grid_dimension=1, response="weights", omega2=None,
+                         sample_budget=1024, seed=7)
     kept = run_study(config).replicates_kept
     assert 0 < kept <= 200
     assert manifest["replicates_kept"] == kept
@@ -236,12 +235,16 @@ def test_sobol_fixed_zero_drops_omega2(tmp_path):
     assert [r[0] for r in rows] == ["rho", "nu", "x"]
 
 
-def test_sobol_variance_response_inputs(tmp_path):
+@pytest.mark.parametrize("omega2, want", [
+    ([], ["sigma2", "rho", "nu", "omega2"]),
+    (["--omega2", "0.01"], ["sigma2", "rho", "nu"]),
+], ids=["vary", "0.01"])
+def test_sobol_variance_response_inputs(tmp_path, omega2, want):
     out = tmp_path / "s.csv"
-    assert main(["sobol", "--response", "variance", "--n", "256",
+    assert main(["sobol", "--response", "variance", *omega2, "--n", "256",
                  "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    assert [r[0] for r in rows] == ["sigma2", "rho", "nu", "omega2"]
+    assert [r[0] for r in rows] == want
 
 
 def test_sobol_small_budget_is_runtime_error(tmp_path, capsys):

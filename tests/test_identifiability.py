@@ -189,7 +189,7 @@ def test_band_thresholds():
 
 def test_scan_small_grid_structure():
     cells = collinearity_scan(grid_nu=(0.5, 2.0), grid_rho=(0.5, 2.0),
-                              resolution=4, output_kind="correlation_curve")
+                              resolution=4)
     assert len(cells) == 16
     nus = np.linspace(0.5, 2.0, 4)
     rhos = np.linspace(0.5, 2.0, 4)
@@ -200,14 +200,6 @@ def test_scan_small_grid_structure():
         assert 1.0 <= cell.gamma_correlation <= GAMMA_CAP
         assert 1.0 <= cell.gamma_weights <= GAMMA_CAP
         assert cell.band == band_of(cell.gamma_correlation)
-
-
-def test_scan_band_follows_output_kind():
-    cells = collinearity_scan(grid_nu=(0.5, 2.0), grid_rho=(0.5, 2.0),
-                              resolution=3, output_kind="kriging_weights")
-    assert len(cells) == 9
-    for cell in cells:
-        assert cell.band == band_of(cell.gamma_weights)
 
 
 def test_scan_deterministic():
@@ -443,8 +435,6 @@ def test_scan_curve_equals_the_separate_correlation_call():
 
 
 def test_scan_validation():
-    with pytest.raises(ValueError):
-        collinearity_scan(output_kind="weights")
     with pytest.raises(ValueError):
         collinearity_scan(resolution=0)
     with pytest.raises(ValueError):

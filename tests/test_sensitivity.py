@@ -142,6 +142,8 @@ def test_response_weights_index_bounds():
         response_weights(params, 20, grid_dimension=1)
     with pytest.raises(ValueError):
         response_weights(params, -1, grid_dimension=1)
+    with pytest.raises(ValueError, match="not an integer"):
+        response_weights(params, 2.7, grid_dimension=1)
 
 
 def test_response_variance_sigma2_scaling_exact():
@@ -397,15 +399,14 @@ def test_sobol_error_names_the_matrix_of_the_first_bad_row(block, row,
         sobol_total(lambda rows: rows[:-1, 0], box, base_count=256, seed=0)
 
 
-@pytest.mark.parametrize("omega2_mode, omega2_value", [
-    ("fixed", 0.01), ("varying", None)])
-def test_study_prices_each_distinct_correlation_row_once(
-        omega2_mode, omega2_value, matern_calls):
+@pytest.mark.parametrize("omega2", [0.01, None],
+                         ids=["fixed-0.01", "varying-None"])
+def test_study_prices_each_distinct_correlation_row_once(omega2,
+                                                         matern_calls):
     # A, A_B^rho, A_B^nu and the variance sample each bring n new (rho, nu)
     # rows; A_B^x repeats A's, and A_B^omega2 repeats A's (rho, nu)
-    run_study(StudyConfig(response="weights", omega2_mode=omega2_mode,
-                          omega2_value=omega2_value, sample_budget=256,
-                          seed=0))
+    run_study(StudyConfig(response="weights", omega2=omega2,
+                          sample_budget=256, seed=0))
     assert sum(np.size(args[1]) for args in matern_calls) == 4 * 256
 
 
@@ -427,7 +428,6 @@ def test_variance_row_factors_each_distinct_system_once(dim, seed,
     monkeypatch.setattr(linalg, "_cholesky_or_nan", counted)
     run_study(StudyConfig(grid_dimension=dim,
                           response="prediction_variance",
-                          omega2_mode="varying", include_sigma2=True,
                           sample_budget=256, seed=seed))
     assert sum(factored) == 5 * 256
 
@@ -457,12 +457,8 @@ def test_sobol_table_pass_builds_each_distinct_system_once(monkeypatch):
     monkeypatch.setattr(KrigingSystem, "build", classmethod(counted))
     for op, (dim, response, omega2) in enumerate(_SOBOL_TABLE):
         built.append(np.zeros(2, dtype=int))
-        run_study(StudyConfig(
-            grid_dimension=dim, response=response,
-            omega2_mode="varying" if omega2 is None else "fixed",
-            omega2_value=omega2,
-            include_sigma2=response == "prediction_variance",
-            sample_budget=256, seed=op))
+        run_study(StudyConfig(grid_dimension=dim, response=response,
+                              omega2=omega2, sample_budget=256, seed=op))
         want = (1280, 1024) if omega2 is not None else (1536, 1280)
         assert tuple(built[-1]) == want, (op, built[-1])
     assert tuple(np.sum(built, axis=0)) == (16384, 13312)
@@ -478,10 +474,9 @@ def test_study_does_not_depend_on_worker_count(monkeypatch):
     # the p + 2 response calls of a study run concurrently on the pool; at
     # 1, 2 and 4 workers a weights row and a variance row give the same
     # bits
-    configs = (StudyConfig(response="weights", omega2_mode="fixed",
-                           omega2_value=0.01, sample_budget=256, seed=0),
+    configs = (StudyConfig(response="weights", omega2=0.01,
+                           sample_budget=256, seed=0),
                StudyConfig(response="prediction_variance",
-                           omega2_mode="varying", include_sigma2=True,
                            sample_budget=256, seed=5))
     results = []
     switch = sys.getswitchinterval()
@@ -504,8 +499,8 @@ def test_weights_study_traced_peak(traced_peak):
     # without a copy, so one call in flight peaks at 0.94 MB; the peak
     # grows with min(workers, calls, 2): 1.5-1.8 MB with two calls in
     # flight (2.8-3.4 MB when four were)
-    config = StudyConfig(response="weights", omega2_mode="fixed",
-                         omega2_value=0.01, sample_budget=256, seed=0)
+    config = StudyConfig(response="weights", omega2=0.01,
+                         sample_budget=256, seed=0)
     assert traced_peak(lambda: run_study(config)) < 2_100_000
 
 
@@ -515,8 +510,8 @@ def test_weights_study_traced_peak_on_larger_pools(traced_peak, monkeypatch,
     # a study keeps at most two response calls in flight, so a pool sized
     # for a host with more cores stays under the same bound
     monkeypatch.setattr(parallel, "worker_count", lambda: workers)
-    config = StudyConfig(response="weights", omega2_mode="fixed",
-                         omega2_value=0.01, sample_budget=256, seed=0)
+    config = StudyConfig(response="weights", omega2=0.01,
+                         sample_budget=256, seed=0)
     assert traced_peak(lambda: run_study(config)) < 2_100_000
 
 
@@ -558,44 +553,31 @@ def test_study_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(response="mean")
     with pytest.raises(ValueError):
-        StudyConfig(omega2_mode="free")
-    with pytest.raises(ValueError):
-        StudyConfig(omega2_mode="fixed", omega2_value=0.05)
-    with pytest.raises(ValueError):
-        StudyConfig(omega2_mode="varying", omega2_value=0.01)
-    with pytest.raises(ValueError):
-        StudyConfig(response="weights", include_sigma2=True)
+        StudyConfig(omega2=0.05)
     with pytest.raises(ValueError):
         StudyConfig(sample_budget=255)
-    assert StudyConfig(omega2_mode="fixed", omega2_value=0.0).omega2_value \
-        in FIXED_OMEGA2_CHOICES
+    assert StudyConfig(omega2=0.0).omega2 in FIXED_OMEGA2_CHOICES
 
 
 def test_run_study_active_inputs_and_cost():
-    vary = run_study(StudyConfig(response="weights", omega2_mode="varying",
+    vary = run_study(StudyConfig(response="weights", omega2=None,
                                  sample_budget=256, seed=0))
     assert vary.inputs == ("rho", "nu", "omega2", "x")
     assert vary.evaluations == 256 * 6
 
-    fixed = run_study(StudyConfig(response="weights", omega2_mode="fixed",
-                                  omega2_value=0.01, sample_budget=256,
-                                  seed=0))
+    fixed = run_study(StudyConfig(response="weights", omega2=0.01,
+                                  sample_budget=256, seed=0))
     assert fixed.inputs == ("rho", "nu", "x")
     assert fixed.evaluations == 256 * 5
 
     var_full = run_study(StudyConfig(response="prediction_variance",
-                                     include_sigma2=True,
                                      sample_budget=256, seed=0))
     assert var_full.inputs == ("sigma2", "rho", "nu", "omega2")
 
-    var_unit = run_study(StudyConfig(response="prediction_variance",
-                                     sample_budget=256, seed=0))
-    assert var_unit.inputs == ("rho", "nu", "omega2")
-
 
 def test_run_study_deterministic():
-    cfg = StudyConfig(response="weights", omega2_mode="fixed",
-                      omega2_value=0.001, sample_budget=256, seed=4)
+    cfg = StudyConfig(response="weights", omega2=0.001, sample_budget=256,
+                      seed=4)
     a = run_study(cfg)
     b = run_study(cfg)
     assert np.array_equal(a.percent_share, b.percent_share)
@@ -603,8 +585,7 @@ def test_run_study_deterministic():
 
 def test_zero_nugget_row_share_pattern():
     res = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                omega2_mode="fixed", omega2_value=0.0,
-                                sample_budget=1024, seed=0))
+                                omega2=0.0, sample_budget=1024, seed=0))
     assert res.share_of("rho") < 1.0
     assert res.share_of("nu") > 5.0
     assert res.share_of("nu") > res.share_of("rho")
@@ -613,19 +594,16 @@ def test_zero_nugget_row_share_pattern():
 
 def test_varying_nugget_row_all_inputs_active():
     res = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                omega2_mode="varying", sample_budget=1024,
-                                seed=0))
+                                omega2=None, sample_budget=1024, seed=0))
     for name in ("rho", "nu", "omega2", "x"):
         assert res.share_of(name) > 1.0
 
 
 def test_monotone_nugget_effect_on_rho():
     lo = run_study(StudyConfig(grid_dimension=1, response="weights",
-                               omega2_mode="fixed", omega2_value=0.0,
-                               sample_budget=1024, seed=0))
+                               omega2=0.0, sample_budget=1024, seed=0))
     hi = run_study(StudyConfig(grid_dimension=1, response="weights",
-                               omega2_mode="fixed", omega2_value=0.1,
-                               sample_budget=1024, seed=0))
+                               omega2=0.1, sample_budget=1024, seed=0))
     assert hi.share_of("rho") > lo.share_of("rho")
 
 
@@ -642,8 +620,7 @@ def test_variance_row_hyperparameter_ordering():
     # on the paper's study tables; the assertion is kept as stated.
     res = run_study(StudyConfig(grid_dimension=1,
                                 response="prediction_variance",
-                                include_sigma2=True, sample_budget=1024,
-                                seed=0))
+                                sample_budget=1024, seed=0))
     assert res.share_of("nu") > res.share_of("sigma2")
     assert res.share_of("sigma2") > res.share_of("rho")
     assert res.share_of("rho") > res.share_of("omega2")
@@ -676,11 +653,9 @@ def test_share_stability_under_budget_doubling():
     # 20 seeds (omega2 ratio up to 1.52).
     names = ("rho", "nu", "omega2", "x")
     small = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                  omega2_mode="varying", sample_budget=1024,
-                                  seed=0))
+                                  omega2=None, sample_budget=1024, seed=0))
     large = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                  omega2_mode="varying", sample_budget=2048,
-                                  seed=0))
+                                  omega2=None, sample_budget=2048, seed=0))
     for name in names:
         bound = (3.0 / 1.96) * math.hypot(small.halfwidth_of(name),
                                            large.halfwidth_of(name))
@@ -717,9 +692,7 @@ def test_run_study_agrees_with_converged_reference():
         ref = reference[key]
         res = run_study(StudyConfig(
             grid_dimension=ref["grid_dimension"], response=ref["response"],
-            omega2_mode=ref["omega2_mode"], omega2_value=ref["omega2_value"],
-            include_sigma2=ref["include_sigma2"], sample_budget=budget,
-            seed=0))
+            omega2=ref["omega2_value"], sample_budget=budget, seed=0))
         assert res.inputs == tuple(ref["share"])
         for name in res.inputs:
             band = (3.0 / 1.96) * math.hypot(res.halfwidth_of(name),

@@ -143,6 +143,20 @@ CATALOGUE = (
            "systems, systems.__getitem__), block)",
            ("tests/test_classifier.py::"
             "test_latent_means_over_omega2_values_match_whole_stack",)),
+    Mutant("variance-row-drops-sigma2", "sensitivity.py",
+           'active = (["sigma2"] if variance else []) + ["rho", "nu"]',
+           'active = ["rho", "nu"]',
+           ("tests/test_sensitivity.py::"
+            "test_run_study_active_inputs_and_cost",)),
+    Mutant("fixed-omega2-treated-as-varied", "cli.py",
+           'omega2 = None if args.omega2 == "vary" else float(args.omega2)',
+           "omega2 = None",
+           ("tests/test_cli.py::test_sobol_fixed_zero_drops_omega2",)),
+    Mutant("scan-band-from-gamma-weights", "identifiability.py",
+           "band=band_of(g_corr)",
+           "band=band_of(g_wts)",
+           ("tests/test_identifiability.py::"
+            "test_scan_small_grid_structure",)),
 )
 
 

@@ -44,8 +44,7 @@ from krigesense.identifiability import collinearity_scan
 collinearity_scan(resolution=12)""",
     "sobol": """
 from krigesense.sensitivity import StudyConfig, run_study
-run_study(StudyConfig(response="weights", omega2_mode="fixed",
-                      omega2_value=0.01, sample_budget=256))""",
+run_study(StudyConfig(response="weights", omega2=0.01, sample_budget=256))""",
 }
 
 _CHILD = """
