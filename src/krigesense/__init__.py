@@ -8,12 +8,10 @@ from .linalg import (NotPositiveDefiniteError, SpdFactor, spd_factor,
 from .kernel import (LocationSet, MaternParams, ReducedParams,
                      kernel_matrix, make_grid, matern_correlation,
                      matern_covariance)
-from .kriging import (KrigingSystem, KrigingWeights, kriging_variance,
-                      kriging_weights, log_likelihood, nearest_neighbors,
-                      predict_mean)
-from .identifiability import (CollinearityCell, SensitivityMatrix,
-                              UndefinedCollinearityError, band_of,
-                              collinearity_index, collinearity_scan,
+from .kriging import (KrigingSystem, kriging_variance, kriging_weights,
+                      log_likelihood, nearest_neighbors, predict_mean)
+from .identifiability import (CollinearityCell, UndefinedCollinearityError,
+                              band_of, collinearity_index, collinearity_scan,
                               local_sensitivities)
 from .sensitivity import (ParamBox, SobolResult, StudyConfig,
                           UndefinedSharesError, lhs_sample,
@@ -32,12 +30,10 @@ __all__ = [
     "sym_eigenvalues",
     "LocationSet", "MaternParams", "ReducedParams", "kernel_matrix",
     "make_grid", "matern_correlation", "matern_covariance",
-    "KrigingSystem", "KrigingWeights", "kriging_variance",
-    "kriging_weights", "log_likelihood", "nearest_neighbors",
-    "predict_mean",
-    "CollinearityCell", "SensitivityMatrix", "UndefinedCollinearityError",
-    "band_of", "collinearity_index", "collinearity_scan",
-    "local_sensitivities",
+    "KrigingSystem", "kriging_variance", "kriging_weights",
+    "log_likelihood", "nearest_neighbors", "predict_mean",
+    "CollinearityCell", "UndefinedCollinearityError", "band_of",
+    "collinearity_index", "collinearity_scan", "local_sensitivities",
     "ParamBox", "SobolResult", "StudyConfig", "UndefinedSharesError",
     "lhs_sample", "response_variance", "response_weights", "run_study",
     "sobol_total",

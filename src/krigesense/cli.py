@@ -83,7 +83,7 @@ def _write_manifest(args: argparse.Namespace, started: str,
 def _cmd_weights(args: argparse.Namespace) -> Dict[str, Any]:
     params = ReducedParams(rho=args.rho, nu=args.nu, omega2=args.omega2)
     train, point = study_grid(args.dim)
-    weights = kriging_weights(train, point, params).weights
+    weights = kriging_weights(train, point, params)
     header = ["location"] if args.dim == 1 else ["x1", "x2"]
     rows = [(*map(_fmt, pt), _fmt(w)) for pt, w in zip(train.points, weights)]
     _write_csv(args.out, header + ["weight"], rows)

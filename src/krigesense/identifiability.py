@@ -30,7 +30,6 @@ from .parallel import _in_chunks, _open_pool
 
 __all__ = [
     "UndefinedCollinearityError",
-    "SensitivityMatrix",
     "CollinearityCell",
     "GAMMA_CAP",
     "band_of",
@@ -56,55 +55,6 @@ class UndefinedCollinearityError(ValueError):
 
 
 @dataclass(frozen=True)
-class SensitivityMatrix:
-    """Finite-difference sensitivities, one row per output component."""
-
-    entries: np.ndarray
-    normalization: str = "raw"
-    zero_columns: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        if self.normalization not in ("raw", "unit-column"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "zero_columns",
-                           tuple(int(j) for j in self.zero_columns))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def normalized(self) -> "SensitivityMatrix":
-        """Scale each column to unit Euclidean norm; all-zero columns are
-        left in place and flagged."""
-        unit, zero = _unit_columns(self.entries)
-        return SensitivityMatrix(entries=unit, normalization="unit-column",
-                                 zero_columns=np.flatnonzero(zero))
-
-
-def _unit_columns(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each column of an (..., m, p) stack scaled to unit Euclidean norm,
-    and the (..., p) mask of all-zero columns, which stay zero. Stacked
-    entries must be in C order for the norms to sum in the same order as
-    one matrix's do."""
-    norms = np.linalg.norm(entries, axis=-2)
-    zero = norms == 0.0
-    with np.errstate(invalid="ignore"):  # inf / inf: _gammas reports it
-        return entries / np.where(zero, 1.0, norms)[..., None, :], zero
-
-
-@dataclass(frozen=True)
 class CollinearityCell:
     nu: float
     rho: float
@@ -127,11 +77,11 @@ def band_of(gamma: float) -> str:
 
 
 def _central_differences(f: Callable[[np.ndarray], np.ndarray],
-                         theta: np.ndarray, rel_step: float) -> np.ndarray:
+                         theta: np.ndarray) -> np.ndarray:
     """(f(theta + h_j e_j) - f(theta - h_j e_j)) / (2 h_j) for every j,
-    with h_j = rel_step * max(|theta_j|, 1e-3). theta is (..., p); f maps
+    with h_j = _REL_STEP * max(|theta_j|, 1e-3). theta is (..., p); f maps
     (m, p) points to (m, outputs); the result is (..., outputs, p)."""
-    h = rel_step * np.maximum(np.abs(theta), 1e-3)
+    h = _REL_STEP * np.maximum(np.abs(theta), 1e-3)
     step = h[..., None] * np.eye(theta.shape[-1])
     base = theta[..., None, :]
     points = np.stack([base + step, base - step], axis=-2)
@@ -141,15 +91,13 @@ def _central_differences(f: Callable[[np.ndarray], np.ndarray],
     return np.swapaxes(diff, -1, -2)
 
 
-def local_sensitivities(f: Callable[[np.ndarray], np.ndarray], theta,
-                        rel_step: float = _REL_STEP) -> SensitivityMatrix:
-    """Central-difference sensitivity matrix of f at theta.
+def local_sensitivities(f: Callable[[np.ndarray], np.ndarray],
+                        theta) -> np.ndarray:
+    """Central-difference sensitivity matrix of f at theta, (outputs, p).
 
-    Step for parameter j is rel_step * max(|theta_j|, 1e-3), so steps stay
-    sensible for parameters near zero.
+    Step for parameter j is _REL_STEP * max(|theta_j|, 1e-3), so steps
+    stay sensible for parameters near zero.
     """
-    if not rel_step > 0.0:
-        raise ValueError(f"rel_step must be > 0, got {rel_step}")
     base = np.asarray(theta, dtype=float).reshape(-1)
     if base.size == 0 or not np.all(np.isfinite(base)):
         raise ValueError("theta must be a finite nonempty vector")
@@ -162,17 +110,22 @@ def local_sensitivities(f: Callable[[np.ndarray], np.ndarray], theta,
             raise ValueError("f must return a fixed-length vector")
         return np.stack(values)
 
-    return SensitivityMatrix(
-        entries=_central_differences(each_point, base, rel_step),
-        normalization="raw")
+    return _central_differences(each_point, base)
 
 
-def _gammas(unit: np.ndarray, zero: np.ndarray
+def _gammas(entries: np.ndarray
             ) -> Tuple[np.ndarray, List[Optional[Exception]]]:
-    """gamma for every matrix of an (N, m, p) stack of unit-column
-    sensitivities, given its (N, p) mask of all-zero columns. A matrix
-    with a non-finite entry or a zero column gets NaN, and the exception
-    that says why in the returned list (None for the others)."""
+    """gamma for every matrix of an (N, m, p) stack of sensitivities, each
+    column scaled to unit Euclidean norm first. The stack is taken in C
+    order, so a column's norm sums in the same order in any stack. A
+    matrix with a non-finite entry or an all-zero column gets NaN, and
+    the exception that says why in the returned list (None for the
+    others)."""
+    entries = np.ascontiguousarray(entries, dtype=float)
+    norms = np.linalg.norm(entries, axis=-2)
+    zero = norms == 0.0
+    with np.errstate(invalid="ignore"):  # inf / inf: reported as non-finite
+        unit = entries / np.where(zero, 1.0, norms)[..., None, :]
     finite = np.isfinite(unit).all(axis=(-2, -1))
     good = finite & ~zero.any(axis=-1)
     reasons: List[Optional[Exception]] = [None] * len(unit)
@@ -193,12 +146,13 @@ def _gammas(unit: np.ndarray, zero: np.ndarray
     return gammas, reasons
 
 
-def collinearity_index(s: SensitivityMatrix) -> float:
-    """gamma = 1 / sqrt(smallest eigenvalue of S^T S), in [1, 1e12]."""
-    if s.normalization != "unit-column":
-        raise ValueError("collinearity_index needs unit-column normalization")
-    zero = np.isin(np.arange(s.cols), s.zero_columns)
-    gammas, reasons = _gammas(s.entries[None], zero[None])
+def collinearity_index(entries) -> float:
+    """gamma = 1 / sqrt(smallest eigenvalue of S^T S), in [1, 1e12], with
+    S the (m, p) sensitivity matrix entries scaled to unit columns."""
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
+    gammas, reasons = _gammas(arr[None])
     if reasons[0] is not None:
         raise reasons[0]
     return float(gammas[0])
@@ -219,11 +173,10 @@ def _scan_gammas(thetas: np.ndarray) -> list:
     """(gamma_correlation, gamma_weights, reason) for the scan cell at each
     of the (N, 2) (nu, rho) thetas; both gammas are NaN where either is
     undefined, and reason is then the first exception that says why."""
-    entries = _central_differences(_scan_outputs, thetas, _REL_STEP)
+    entries = _central_differences(_scan_outputs, thetas)
     split = _SCAN_GRID.count
     (g_corr, corr_reasons), (g_wts, wts_reasons) = (
-        _gammas(*_unit_columns(np.ascontiguousarray(part)))
-        for part in (entries[:, :split], entries[:, split:]))
+        _gammas(part) for part in (entries[:, :split], entries[:, split:]))
     reasons = [a if a is not None else b
                for a, b in zip(corr_reasons, wts_reasons)]
     failed = np.array([r is not None for r in reasons], dtype=bool)

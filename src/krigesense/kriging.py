@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .kernel import (LocationSet, MaternParams, ReducedParams, _distances,
 
 __all__ = [
     "KrigingSystem",
-    "KrigingWeights",
     "kriging_weights",
     "predict_mean",
     "kriging_variance",
@@ -158,40 +156,31 @@ class KrigingSystem:
         return float(variance) if variance.ndim == 0 else variance
 
 
-@dataclass(frozen=True)
-class KrigingWeights:
-    weights: np.ndarray
-    train_ref: LocationSet
-
-
 def kriging_weights(train: LocationSet, pred,
-                    params: ReducedParams) -> KrigingWeights:
-    """Solve (Omega + omega2 I) w = c for the weight vector(s)."""
-    system = KrigingSystem.build(train, pred, params)
-    return KrigingWeights(weights=system.weights(), train_ref=train)
+                    params: ReducedParams) -> np.ndarray:
+    """Solve (Omega + omega2 I) w = c for the weight vector(s): (n,) for
+    scalar parameters, (N, n) for a stack."""
+    return KrigingSystem.build(train, pred, params).weights()
 
 
-def predict_mean(weights: KrigingWeights, y):
-    """Weighted sum of the observations, w . y: a float for one system, an
-    (N,) array for a stack of N weight rows."""
-    vec = _as_observations(y, weights.train_ref.count)
-    w = weights.weights
+def predict_mean(weights, y):
+    """Weighted sum of the observations, w . y: a float for (n,) weights,
+    an (N,) array for an (N, n) stack of weight rows."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2):
+        raise ValueError(f"weights must be 1-D or 2-D, got shape {w.shape}")
+    vec = _as_observations(y, w.shape[-1])
     if w.ndim == 1:
         return float(w @ vec)
     # row by row, so each mean is the same dot product as its row alone
     return np.array([row @ vec for row in w])
 
 
-def kriging_variance(train: Optional[LocationSet], pred,
-                     params: MaternParams):
+def kriging_variance(train: LocationSet, pred, params: MaternParams):
     """sigma2 (1 - c^T (Omega + omega2 I)^{-1} c), clamped at -1e-10.
 
     A float for scalar parameters, an (N,) array for a parameter stack.
-    With no training set the quadratic term vanishes and the prior
-    variance sigma2 comes back.
     """
-    if train is None:
-        return params.sigma2
     system = KrigingSystem.build(train, pred, params.reduced())
     return system.variance(params.sigma2)
 

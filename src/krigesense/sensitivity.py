@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .kernel import LocationSet, ReducedParams, _check_params, study_grid
+from .kernel import ReducedParams, _check_params, study_grid
 from .kriging import KrigingSystem, kriging_weights
 from .parallel import _in_chunks, _open_pool
 
@@ -169,24 +169,20 @@ def lhs_sample(count: int, box: ParamBox, seed: int) -> np.ndarray:
 
 
 def response_weights(params: ReducedParams, location_index,
-                     grid_dimension: int = 1,
-                     train: Optional[LocationSet] = None,
-                     point=None):
+                     grid_dimension: int = 1):
     """The location_index-th kriging weight on the study grid.
 
-    The default grids are the fixed study layouts (20-point 1-D grid with
-    the prediction at 0.5; 16-point 2-D lattice with the prediction at
-    the center); pass train/point explicitly to override. A float for
-    scalar parameters; for (N,) parameter arrays, location_index holds
-    one index per row and an (N,) array comes back. An index must be a
-    whole number inside the grid.
+    The grids are the fixed study layouts (20-point 1-D grid with the
+    prediction at 0.5; 16-point 2-D lattice with the prediction at the
+    center). A float for scalar parameters; for (N,) parameter arrays,
+    location_index holds one index per row and an (N,) array comes back.
+    An index must be a whole number inside the grid.
     """
     idx = np.asarray(location_index).astype(int)
     if np.any(idx != location_index):
         raise ValueError(f"location_index {location_index} is not an integer")
-    if train is None:
-        train, point = study_grid(grid_dimension)
-    w = kriging_weights(train, point, params).weights
+    train, point = study_grid(grid_dimension)
+    w = kriging_weights(train, point, params)
     if np.any((idx < 0) | (idx >= w.shape[-1])):
         raise ValueError(
             f"location_index {location_index} outside [0, {w.shape[-1]})")
@@ -194,16 +190,12 @@ def response_weights(params: ReducedParams, location_index,
     return float(picked) if picked.ndim == 0 else picked
 
 
-def response_variance(sigma2, rho, nu, omega2,
-                      grid_dimension: int = 1,
-                      train: Optional[LocationSet] = None,
-                      point=None):
+def response_variance(sigma2, rho, nu, omega2, grid_dimension: int = 1):
     """Kriging variance at the study prediction point, with omega2 the
     nugget ratio as sampled (the system is built from (rho, nu, omega2),
     never from tau2 = omega2 * sigma2). Scalars give a float, (N,)
     arrays an (N,) array."""
-    if train is None:
-        train, point = study_grid(grid_dimension)
+    train, point = study_grid(grid_dimension)
     (sigma2,) = _check_params(sigma2=sigma2)
     system = KrigingSystem.build(
         train, point, ReducedParams(rho=rho, nu=nu, omega2=omega2))
@@ -374,7 +366,7 @@ def run_study(config: StudyConfig) -> SobolResult:
         active.append("omega2")
     box = ParamBox.defaults(tuple(active))
 
-    train, point = study_grid(config.grid_dimension)
+    train, _ = study_grid(config.grid_dimension)
     positions = {name: j for j, name in enumerate(active)}
 
     def f(rows: np.ndarray) -> np.ndarray:
@@ -383,10 +375,10 @@ def run_study(config: StudyConfig) -> SobolResult:
                   else config.omega2)
         if variance:
             return response_variance(rows[:, positions["sigma2"]], rho, nu,
-                                     omega2, train=train, point=point)
+                                     omega2, config.grid_dimension)
         params = ReducedParams(rho=rho, nu=nu, omega2=omega2)
         return response_weights(params, rows[:, len(active)].astype(int),
-                                train=train, point=point)
+                                config.grid_dimension)
 
     return sobol_total(f, box, base_count=config.sample_budget,
                        seed=config.seed,

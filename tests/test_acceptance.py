@@ -125,7 +125,7 @@ def test_criterion_03_kriging_against_dense_oracle():
         inv = gauss_jordan_inverse(omega)
         w_want = inv @ cross
 
-        w_got = kriging_weights(train, pred, reduced).weights
+        w_got = kriging_weights(train, pred, reduced)
         scale = max(float(np.max(np.abs(w_want))), 1.0)
         worst = max(worst, float(np.max(np.abs(w_got - w_want))) / scale)
 
@@ -161,12 +161,12 @@ def test_criterion_04_scale_invariance():
         omega2 = float(g.uniform(0.001, 0.1))
         base = MaternParams(sigma2, float(g.uniform(0.01, 5.0)),
                             float(g.uniform(0.01, 2.5)), omega2 * sigma2)
-        w_base = kriging_weights(train, pred, base.reduced()).weights
+        w_base = kriging_weights(train, pred, base.reduced())
         v_base = kriging_variance(train, pred, base)
         for c in (0.1, 10.0):
             scaled = MaternParams(c * base.sigma2, base.rho, base.nu,
                                   c * base.tau2)
-            w = kriging_weights(train, pred, scaled.reduced()).weights
+            w = kriging_weights(train, pred, scaled.reduced())
             worst_w = max(worst_w, float(np.max(np.abs(w - w_base))))
             v = kriging_variance(train, pred, scaled)
             worst_v = max(worst_v, abs(v - c * v_base) / (c * v_base))

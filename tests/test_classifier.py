@@ -182,7 +182,7 @@ def test_classify_full_k_matches_dense_kriging():
     got = classify(data, test_features, params, k=16)
     train_locs = LocationSet(data.features)
     for j in range(5):
-        w = kriging_weights(train_locs, test_features[j], params).weights
+        w = kriging_weights(train_locs, test_features[j], params)
         mean = float(w @ data.labels)
         assert got[j] == (1 if mean >= 0.0 else -1)
 

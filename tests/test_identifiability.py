@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from krigesense import identifiability, parallel
 from krigesense.identifiability import (GAMMA_CAP, CollinearityCell,
-                                        SensitivityMatrix,
                                         UndefinedCollinearityError, band_of,
                                         collinearity_index,
                                         collinearity_scan,
@@ -29,9 +28,8 @@ def correlation_curve(theta):
     return matern_correlation(DISTANCES, rho=theta[1], nu=theta[0])
 
 
-def unit_columns(*cols):
-    s = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-    return SensitivityMatrix(entries=s, normalization="raw").normalized()
+def columns(*cols):
+    return np.column_stack([np.asarray(c, dtype=float) for c in cols])
 
 
 # ------------------------------------------------- local_sensitivities
@@ -41,18 +39,15 @@ def test_linear_function_recovers_matrix():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(6, 3))
     s = local_sensitivities(lambda t: a @ t, np.array([0.4, -1.2, 2.0]))
-    assert s.normalization == "raw"
-    assert s.rows == 6 and s.cols == 3
-    assert np.max(np.abs(s.entries - a)) < 1e-8
+    assert s.shape == (6, 3)
+    assert np.max(np.abs(s - a)) < 1e-8
 
 
 def test_constant_function_gives_zero_matrix():
     s = local_sensitivities(lambda t: np.array([3.0, 3.0]), np.ones(2))
-    assert np.all(s.entries == 0.0)
-    normalized = s.normalized()
-    assert normalized.zero_columns == (0, 1)
-    with pytest.raises(UndefinedCollinearityError):
-        collinearity_index(normalized)
+    assert np.all(s == 0.0)
+    with pytest.raises(UndefinedCollinearityError, match=r"\(0, 1\)"):
+        collinearity_index(s)
 
 
 def test_correlation_curve_matches_refined_steps():
@@ -60,7 +55,7 @@ def test_correlation_curve_matches_refined_steps():
     s = local_sensitivities(correlation_curve, theta)
     for j in range(2):
         refined = refined_central_difference(correlation_curve, theta, j)
-        assert np.max(np.abs(s.entries[:, j] - refined)) < 1e-4
+        assert np.max(np.abs(s[:, j] - refined)) < 1e-4
 
 
 def test_step_scales_with_parameter_floor():
@@ -68,60 +63,71 @@ def test_step_scales_with_parameter_floor():
     # floor, so the column is a usable derivative, not 0/0
     s = local_sensitivities(lambda t: np.array([t[0] ** 2 + t[1]]),
                             np.array([0.0, 5.0]))
-    assert abs(s.entries[0, 0] - 0.0) < 1e-6
-    assert abs(s.entries[0, 1] - 1.0) < 1e-8
+    assert abs(s[0, 0] - 0.0) < 1e-6
+    assert abs(s[0, 1] - 1.0) < 1e-8
 
 
 def test_local_sensitivities_validation():
-    with pytest.raises(ValueError):
-        local_sensitivities(lambda t: t, np.array([1.0]), rel_step=0.0)
     with pytest.raises(ValueError):
         local_sensitivities(lambda t: t, np.array([]))
     with pytest.raises(ValueError):
         local_sensitivities(lambda t: t, np.array([np.inf]))
 
 
-def test_sensitivity_matrix_validation():
-    with pytest.raises(ValueError):
-        SensitivityMatrix(entries=np.ones(3))
-    with pytest.raises(ValueError):
-        SensitivityMatrix(entries=np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        SensitivityMatrix(entries=np.eye(2), normalization="rowwise")
-    s = SensitivityMatrix(entries=np.eye(2))
-    assert not s.entries.flags.writeable
-
-
 # ------------------------------------------------- collinearity_index
 
 
 def test_orthogonal_columns_give_gamma_one():
-    s = unit_columns([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    s = columns([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     assert collinearity_index(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_columns_hit_cap():
-    s = unit_columns([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
+    s = columns([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
     assert collinearity_index(s) == GAMMA_CAP
 
 
 def test_sixty_degree_columns():
     phi = math.pi / 3.0
-    s = unit_columns([1.0, 0.0], [math.cos(phi), math.sin(phi)])
+    s = columns([1.0, 0.0], [math.cos(phi), math.sin(phi)])
     assert collinearity_index(s) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
-def test_requires_unit_column_normalization():
-    raw = SensitivityMatrix(entries=np.eye(3), normalization="raw")
-    with pytest.raises(ValueError):
-        collinearity_index(raw)
+def test_collinearity_index_rejects_1d_and_non_finite_entries():
+    with pytest.raises(ValueError, match="2-D"):
+        collinearity_index(np.ones(3))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        collinearity_index(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+def test_collinearity_index_leaves_the_callers_array_unmodified():
+    rng = np.random.default_rng(5)
+    entries = 10.0 ** rng.integers(-3, 4, size=3) * rng.normal(size=(7, 3))
+    kept = entries.copy()
+    collinearity_index(entries)
+    assert np.array_equal(entries, kept)
+
+
+def test_collinearity_index_column_scale_invariant():
+    # the index scales every column to unit norm itself, so scaling a
+    # column of a full-rank matrix by 1e-8 or 1e8 leaves gamma where it was
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        base = rng.normal(size=(rng.integers(5, 10), rng.integers(2, 5)))
+        g0 = collinearity_index(base)
+        for j in range(base.shape[1]):
+            for scale in (1e-8, 1e8):
+                scaled = base.copy()
+                scaled[:, j] *= scale
+                assert collinearity_index(scaled) == pytest.approx(
+                    g0, rel=1e-12)
 
 
 def test_two_column_closed_form_against_eigen_route():
     # p = 2: gamma = 1 / sqrt(1 - |cos phi|) since the Gram eigenvalues
     # are 1 +- cos phi
     for phi in np.linspace(0.1, math.pi - 0.1, 17):
-        s = unit_columns([1.0, 0.0], [math.cos(phi), math.sin(phi)])
+        s = columns([1.0, 0.0], [math.cos(phi), math.sin(phi)])
         closed = 1.0 / math.sqrt(1.0 - abs(math.cos(phi)))
         assert collinearity_index(s) == pytest.approx(closed, abs=1e-9)
 
@@ -129,9 +135,7 @@ def test_two_column_closed_form_against_eigen_route():
 def test_gamma_at_least_one_random_matrices():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        s = SensitivityMatrix(
-            entries=rng.normal(size=(rng.integers(3, 9), rng.integers(2, 5))),
-            normalization="raw").normalized()
+        s = rng.normal(size=(rng.integers(3, 9), rng.integers(2, 5)))
         g = collinearity_index(s)
         assert 1.0 <= g <= GAMMA_CAP
 
@@ -139,13 +143,11 @@ def test_gamma_at_least_one_random_matrices():
 def test_gamma_invariant_to_reorder_and_sign_flip():
     rng = np.random.default_rng(8)
     base = rng.normal(size=(10, 4))
-    g0 = collinearity_index(
-        SensitivityMatrix(entries=base, normalization="raw").normalized())
+    g0 = collinearity_index(base)
     perm = base[:, [2, 0, 3, 1]].copy()
     perm[:, 1] *= -1.0
     perm[:, 3] *= -1.0
-    g1 = collinearity_index(
-        SensitivityMatrix(entries=perm, normalization="raw").normalized())
+    g1 = collinearity_index(perm)
     assert g1 == pytest.approx(g0, rel=1e-9)
 
 
@@ -153,19 +155,16 @@ def test_duplicate_column_never_decreases_gamma():
     rng = np.random.default_rng(13)
     for _ in range(10):
         base = rng.normal(size=(8, 3))
-        g0 = collinearity_index(
-            SensitivityMatrix(entries=base, normalization="raw").normalized())
+        g0 = collinearity_index(base)
         widened = np.column_stack([base, base[:, 0]])
-        g1 = collinearity_index(
-            SensitivityMatrix(entries=widened,
-                              normalization="raw").normalized())
+        g1 = collinearity_index(widened)
         assert g1 >= g0
 
 
 def test_gamma_matches_independent_oracle_on_matern_curve():
     for theta in (np.array([0.8, 1.5]), np.array([2.0, 0.5])):
-        got = collinearity_index(
-            local_sensitivities(correlation_curve, theta).normalized())
+        got = collinearity_index(local_sensitivities(correlation_curve,
+                                                     theta))
         want = collinearity_gamma_oracle(correlation_curve, theta)
         assert got == pytest.approx(want, rel=1e-4)
 
@@ -252,8 +251,7 @@ def test_scan_row_that_cannot_be_stacked_fails_cell_by_cell():
 
 def _index_per_cell(entries):
     try:
-        return collinearity_index(
-            SensitivityMatrix(entries=entries).normalized()), None
+        return collinearity_index(entries), None
     except ValueError as exc:
         return math.nan, exc
 
@@ -288,7 +286,7 @@ def test_batched_scan_gammas_equal_per_cell_index(res, seed, kinds):
                 [np.nan, np.inf, -np.inf])
     nus = rhos = np.linspace(0.5, 1.0, res)
 
-    def rows(f, thetas, rel_step):
+    def rows(f, thetas):
         # each (nu, rho) theta, in whatever block it comes, gets its cell
         cell = [(int(np.flatnonzero(nus == nu)[0]),
                  int(np.flatnonzero(rhos == rho)[0])) for nu, rho in thetas]

@@ -45,13 +45,13 @@ def test_single_point_weight_closed_form():
                            (1.3, 0.8, 2.5, 0.01)]:
         w = kriging_weights(train, 0.3 + d, ReducedParams(rho, nu, om))
         expected = matern_correlation(np.array([d]), rho, nu)[0] / (1.0 + om)
-        assert w.weights.shape == (1,)
-        assert abs(w.weights[0] - expected) < 1e-14
+        assert w.shape == (1,)
+        assert abs(w[0] - expected) < 1e-14
 
 
 def test_symmetric_grid_weights_palindromic():
     grid = make_grid(1, 21, exclude=0.5)
-    w = kriging_weights(grid, 0.5, ReducedParams(1.0, 1.5, 0.01)).weights
+    w = kriging_weights(grid, 0.5, ReducedParams(1.0, 1.5, 0.01))
     assert np.max(np.abs(w - w[::-1])) < 1e-12
 
 
@@ -62,7 +62,7 @@ def test_weights_match_dense_inverse_oracle():
         params = ReducedParams(rho=float(rng.uniform(0.2, 4.0)),
                                nu=float(rng.uniform(0.3, 2.5)),
                                omega2=float(rng.uniform(0.0, 0.1)))
-        got = kriging_weights(grid, 0.5, params).weights
+        got = kriging_weights(grid, 0.5, params)
         want = dense_weight_oracle(grid, 0.5, params)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -71,7 +71,7 @@ def test_weights_match_oracle_2d():
     grid = make_grid(2, 4)
     pred = np.array([0.5, 0.5])
     params = ReducedParams(1.0, 1.5, 0.01)
-    got = kriging_weights(grid, pred, params).weights
+    got = kriging_weights(grid, pred, params)
     want = dense_weight_oracle(grid, pred, params)
     assert np.max(np.abs(got - want)) < 1e-10
     # the 16-point lattice is symmetric about the center, so weights fall
@@ -100,9 +100,7 @@ def test_predict_mean_zero_observations():
 
 
 def test_predict_mean_picks_out_component():
-    train = LocationSet(np.array([0.0, 1.0, 2.0]))
-    w = kriging.KrigingWeights(weights=np.array([0.0, 1.0, 0.0]),
-                               train_ref=train)
+    w = np.array([0.0, 1.0, 0.0])
     y = np.array([3.5, -2.25, 7.0])
     assert predict_mean(w, y) == -2.25
 
@@ -126,12 +124,14 @@ def test_predict_mean_rejects_bad_observations():
         predict_mean(w, [1.0, 2.0, np.inf, 4.0, 5.0])
 
 
+def test_predict_mean_rejects_weights_that_are_not_1d_or_2d():
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        predict_mean(np.float64(1.0), [1.0])
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        predict_mean(np.ones((2, 2, 3)), np.zeros(3))
+
+
 # -------------------------------------------------------------- variance
-
-
-def test_variance_no_training_set_is_prior():
-    params = MaternParams(sigma2=3.7, rho=1.0, nu=0.5, tau2=0.1)
-    assert kriging_variance(None, 0.5, params) == 3.7
 
 
 def test_variance_single_point_closed_form():
@@ -316,10 +316,10 @@ def test_scale_invariance_weights_and_variance():
         tau2 = float(rng.uniform(0.0, 0.3)) * sigma2
         base = MaternParams(sigma2, rho, nu, tau2)
         v_base = kriging_variance(grid, 0.5, base)
-        w_base = kriging_weights(grid, 0.5, base.reduced()).weights
+        w_base = kriging_weights(grid, 0.5, base.reduced())
         for c in (0.1, 10.0):
             scaled = MaternParams(c * sigma2, rho, nu, c * tau2)
-            w_scaled = kriging_weights(grid, 0.5, scaled.reduced()).weights
+            w_scaled = kriging_weights(grid, 0.5, scaled.reduced())
             rel = np.max(np.abs(w_scaled - w_base) /
                          np.maximum(np.abs(w_base), 1e-300))
             assert rel < 1e-12
@@ -335,7 +335,7 @@ def test_weight_sum_band_small_nugget():
         for rho in (1.0, 2.0, 3.5, 5.0):
             for nu in (0.5, 1.0, 1.5, 2.5):
                 w = kriging_weights(grid, 0.5, ReducedParams(rho, nu, om))
-                s = float(np.sum(w.weights))
+                s = float(np.sum(w))
                 assert 0.9 <= s <= 1.0001, (rho, nu, om, s)
 
 
@@ -345,7 +345,7 @@ def test_grid_density_stability_nearest_four():
     collected = []
     for h in (2.0, 1.0, 0.5):
         pts = np.arange(-8.0, 8.0, h) + h / 2.0
-        w = kriging_weights(LocationSet(pts), 0.0, params).weights
+        w = kriging_weights(LocationSet(pts), 0.0, params)
         nearest = np.argsort(np.abs(pts), kind="stable")[:4]
         collected.append(np.sort(w[nearest])[::-1])
     for i, a in enumerate(collected):
@@ -357,7 +357,7 @@ def test_system_factor_shared_by_weight_and_variance_paths():
     grid = make_grid(1, 21, exclude=0.5)
     params = MaternParams(1.8, 1.2, 0.9, 0.03)
     system = KrigingSystem.build(grid, 0.5, params.reduced())
-    w = kriging_weights(grid, 0.5, params.reduced()).weights
+    w = kriging_weights(grid, 0.5, params.reduced())
     ratio = 1.0 - float(system.cross[system.rows] @ w)
     v = kriging_variance(grid, 0.5, params)
     assert abs(v - params.sigma2 * ratio) < 1e-12
@@ -380,7 +380,7 @@ def _study_box_stack(count, seed):
 def test_stacked_weights_and_variances_match_dense_oracle(grid, pred):
     sigma2, rho, nu, omega2 = _study_box_stack(64, seed=17)
     weights = kriging_weights(grid, pred,
-                              ReducedParams(rho, nu, omega2)).weights
+                              ReducedParams(rho, nu, omega2))
     variances = kriging_variance(
         grid, pred, MaternParams(sigma2, rho, nu, omega2 * sigma2))
     assert weights.shape == (64, grid.count)
@@ -402,7 +402,7 @@ def test_row_built_in_a_stack_equals_row_built_alone():
     nu[:3] = (0.5, 1.5, 2.5)
     stacked = KrigingSystem.build(grid, 0.5, ReducedParams(rho, nu, omega2))
     weights = kriging_weights(grid, 0.5,
-                              ReducedParams(rho, nu, omega2)).weights
+                              ReducedParams(rho, nu, omega2))
     variances = kriging_variance(
         grid, 0.5, MaternParams(sigma2, rho, nu, omega2 * sigma2))
     for i in range(64):
@@ -413,7 +413,7 @@ def test_row_built_in_a_stack_equals_row_built_alone():
         assert np.array_equal(stacked.cross[stacked.rows[i]],
                               alone.cross[alone.rows])
         w = kriging_weights(grid, 0.5,
-                            ReducedParams(rho[i], nu[i], omega2[i])).weights
+                            ReducedParams(rho[i], nu[i], omega2[i]))
         assert np.array_equal(weights[i], w)
         v = kriging_variance(grid, 0.5, MaternParams(
             sigma2[i], rho[i], nu[i], omega2[i] * sigma2[i]))
@@ -446,7 +446,7 @@ def test_stack_with_a_jittered_row_matches_per_system_factors():
     omega2 = np.array([0.01, 0.01, 0.0, 0.01, 0.01])
     system = KrigingSystem.build(grid, 0.5, ReducedParams(rho, nu, omega2))
     weights = kriging_weights(grid, 0.5,
-                              ReducedParams(rho, nu, omega2)).weights
+                              ReducedParams(rho, nu, omega2))
     jitter = system.factor.jitter_used[system.rows]
     assert jitter.tolist() == [0.0, 0.0, 1e-12, 0.0, 0.0]
     for i in range(5):
@@ -460,7 +460,7 @@ def test_stack_with_a_jittered_row_matches_per_system_factors():
         assert np.array_equal(weights[i],
                               linalg.spd_solve(alone, system.cross[s]))
         assert np.array_equal(weights[i],
-                              kriging_weights(grid, 0.5, params).weights)
+                              kriging_weights(grid, 0.5, params))
 
 
 def test_scalar_parameters_keep_single_system_shapes():
@@ -502,9 +502,9 @@ def test_weights_follow_the_training_points_when_reordered(
         seed, count, dim, rho, nu, omega2):
     pts, pred, order = _lattice_layout(seed, count, dim)
     params = ReducedParams(rho, nu, omega2)
-    w = kriging_weights(LocationSet(pts), pred, params).weights
+    w = kriging_weights(LocationSet(pts), pred, params)
     reordered = kriging_weights(LocationSet(pts[order]), pred,
-                                params).weights
+                                params)
     assert np.max(np.abs(reordered - w[order])) < 1e-9
 
 
@@ -570,7 +570,7 @@ def test_repeated_rows_build_as_each_row_alone(seed, extra, jittered, dim):
     sigma2 = g.uniform(0.1, 5.0, len(picks))
     params = ReducedParams(rho, nu, omega2)
     system = KrigingSystem.build(grid, pred, params)
-    weights = kriging_weights(grid, pred, params).weights
+    weights = kriging_weights(grid, pred, params)
     variances = kriging_variance(
         grid, pred, MaternParams(sigma2, rho, nu, omega2 * sigma2))
     # one factor per distinct row, however often the row repeats
@@ -587,6 +587,6 @@ def test_repeated_rows_build_as_each_row_alone(seed, extra, jittered, dim):
         assert jitter[i] == alone.factor.jitter_used[alone.rows]
         assert np.array_equal(system.cross[s], alone.cross[alone.rows])
         assert np.array_equal(weights[i],
-                              kriging_weights(grid, pred, row).weights)
+                              kriging_weights(grid, pred, row))
         assert variances[i] == kriging_variance(grid, pred, MaternParams(
             sigma2[i], rho[i], nu[i], omega2[i] * sigma2[i]))

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from krigesense import linalg, parallel, rng
-from krigesense.kernel import LocationSet, ReducedParams, matern_correlation
+from krigesense.kernel import ReducedParams, matern_correlation
 from krigesense.kriging import KrigingSystem
 from krigesense.sensitivity import (FIXED_OMEGA2_CHOICES, DEFAULT_RANGES,
                                     ParamBox, SobolResult, StudyConfig,
@@ -105,14 +105,6 @@ def test_param_box_validation():
 
 
 # ------------------------------------------------------------ responses
-
-
-def test_response_weights_single_point_grid():
-    train = LocationSet(np.array([0.0]))
-    params = ReducedParams(1.2, 0.8, 0.02)
-    got = response_weights(params, 0, train=train, point=0.4)
-    c = matern_correlation(np.array([0.4]), 1.2, 0.8)[0]
-    assert abs(got - c / 1.02) < 1e-14
 
 
 def test_response_weights_symmetric_indices():

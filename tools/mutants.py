@@ -157,6 +157,18 @@ CATALOGUE = (
            "band=band_of(g_wts)",
            ("tests/test_identifiability.py::"
             "test_scan_small_grid_structure",)),
+    Mutant("gamma-on-raw-columns", "identifiability.py",
+           "unit = entries / np.where(zero, 1.0, norms)[..., None, :]",
+           "unit = entries",
+           ("tests/test_identifiability.py::"
+            "test_collinearity_index_column_scale_invariant",
+            "tests/test_identifiability.py::"
+            "test_gamma_matches_independent_oracle_on_matern_curve")),
+    Mutant("predict-mean-count-from-stack-axis", "kriging.py",
+           "_as_observations(y, w.shape[-1])",
+           "_as_observations(y, w.shape[0])",
+           ("tests/test_kriging.py::"
+            "test_predict_mean_on_a_stack_matches_each_row_alone",)),
 )
 
 
