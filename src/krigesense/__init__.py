@@ -13,10 +13,9 @@ from .kriging import (KrigingSystem, kriging_variance, kriging_weights,
 from .identifiability import (CollinearityCell, UndefinedCollinearityError,
                               band_of, collinearity_index, collinearity_scan,
                               local_sensitivities)
-from .sensitivity import (ParamBox, SobolResult, StudyConfig,
-                          UndefinedSharesError, lhs_sample,
-                          response_variance, response_weights, run_study,
-                          sobol_total)
+from .sensitivity import (ParamBox, SobolResult, UndefinedSharesError,
+                          lhs_sample, response_variance, response_weights,
+                          run_study, sobol_total)
 from .classifier import (GridSpec, LabeledSet, TrialResult, classify,
                          grid_search, loo_accuracy, run_benchmark,
                          synth_dataset)
@@ -34,7 +33,7 @@ __all__ = [
     "log_likelihood", "nearest_neighbors", "predict_mean",
     "CollinearityCell", "UndefinedCollinearityError", "band_of",
     "collinearity_index", "collinearity_scan", "local_sensitivities",
-    "ParamBox", "SobolResult", "StudyConfig", "UndefinedSharesError",
+    "ParamBox", "SobolResult", "UndefinedSharesError",
     "lhs_sample", "response_variance", "response_weights", "run_study",
     "sobol_total",
     "GridSpec", "LabeledSet", "TrialResult", "classify", "grid_search",

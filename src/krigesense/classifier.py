@@ -58,6 +58,9 @@ GENERATOR_PARAMS = MaternParams(sigma2=1.0, rho=0.7, nu=1.5, tau2=0.01)
 _FIXED_RHO = 2.5
 _FIXED_OMEGA2 = 0.01
 _SUBSETS = ("nu_only", "nu_rho", "all")
+# run_benchmark's datasets: feature dimension and held-out test points
+_FEATURE_DIM = 2
+_TEST_COUNT = 400
 
 # below this nugget ratio the stacked systems are factored by linalg's
 # jitter ladder, and solved from those factors, in place of the LU solve
@@ -395,7 +398,8 @@ def grid_search(train: LabeledSet, grid: GridSpec,
             for rho in grid.rho_values:
                 plan.correlation(rho, nu)
                 latents = plan.latent_means(grid.omega2_values)
-                for omega2, latent in zip(grid.omega2_values, latents):
+                for omega2, latent in zip(grid.omega2_values, latents,
+                                          strict=True):
                     score = float(np.mean(_signs(latent) == train.labels))
                     if score > best:
                         best = score
@@ -414,13 +418,13 @@ def grid_search(train: LabeledSet, grid: GridSpec,
 
 def run_benchmark(train_sizes: Sequence[int] = (200, 400, 800),
                   iterations: int = 10, seed: int = 0, k: int = 50,
-                  q: int = 2, test_count: int = 400,
                   subsets: Sequence[str] = _SUBSETS) -> List[TrialResult]:
     """Time the subset searches on shared synthetic splits.
 
     Per iteration, one pooled dataset is drawn and split into a fixed
-    test set plus nested training sets (each smaller training set is a
-    prefix of the larger one). Each emitted row covers one subset's full
+    test set (_TEST_COUNT points, one more if that makes the pool even)
+    plus nested training sets (each smaller training set is a prefix of
+    the larger one). Each emitted row covers one subset's full
     pipeline: grid search plus labeling the test set with the selected
     parameters. accuracy is test accuracy; wall_time is that pipeline's
     wall clock; evaluations is the subset's grid size. All three subsets
@@ -431,22 +435,20 @@ def run_benchmark(train_sizes: Sequence[int] = (200, 400, 800),
         raise ValueError(f"train sizes must be >= 2, got {train_sizes}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if test_count < 1:
-        raise ValueError(f"test_count must be >= 1, got {test_count}")
     chosen = tuple(dict.fromkeys(subsets))
     unknown = [s for s in chosen if s not in _SUBSETS]
     if unknown or not chosen:
         raise ValueError(f"subsets must be drawn from {_SUBSETS}")
     active_subsets = tuple(s for s in _SUBSETS if s in chosen)
 
-    pool_count = sizes[-1] + test_count
+    pool_count = sizes[-1] + _TEST_COUNT
     if pool_count % 2 != 0:
         pool_count += 1
     held_out = pool_count - sizes[-1]
 
     # one throwaway search first, so lazy numpy/LAPACK setup is paid before
     # any timed trial instead of inside whichever subset happens to run first
-    warm = synth_dataset(12, q, seed=0)
+    warm = synth_dataset(12, _FEATURE_DIM, seed=0)
     warm_grid = GridSpec(subset="nu_only", nu_values=(1.0,),
                          rho_values=(1.0,), omega2_values=(0.01,))
     warm_params, _ = grid_search(warm, warm_grid, k=3)
@@ -455,7 +457,7 @@ def run_benchmark(train_sizes: Sequence[int] = (200, 400, 800),
     results: List[TrialResult] = []
     for iteration in range(iterations):
         data_seed = int(rng.stream(seed, 10, iteration).integers(2 ** 63))
-        pool = synth_dataset(pool_count, q, data_seed)
+        pool = synth_dataset(pool_count, _FEATURE_DIM, data_seed)
         order = rng.stream(seed, 11, iteration).permutation(pool_count)
         test_idx = order[:held_out]
         train_order = order[held_out:]

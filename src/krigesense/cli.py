@@ -31,7 +31,7 @@ from .kernel import ReducedParams
 from .kriging import kriging_weights
 from .classifier import run_benchmark
 from .parallel import worker_count
-from .sensitivity import StudyConfig, run_study, study_grid
+from .sensitivity import FIXED_OMEGA2_CHOICES, run_study, study_grid
 
 __all__ = ["main"]
 
@@ -107,9 +107,8 @@ def _cmd_sobol(args: argparse.Namespace) -> Dict[str, Any]:
     response = ("weights" if args.response == "weights"
                 else "prediction_variance")
     omega2 = None if args.omega2 == "vary" else float(args.omega2)
-    config = StudyConfig(grid_dimension=args.dim, response=response,
-                         omega2=omega2, sample_budget=args.n, seed=args.seed)
-    result = run_study(config)
+    result = run_study(grid_dimension=args.dim, response=response,
+                       omega2=omega2, sample_budget=args.n, seed=args.seed)
     header = ["input", "total_index", "percent_share", "bootstrap_halfwidth"]
     rows = [(name, _fmt(result.total_index[i]),
              _fmt(result.percent_share[i]),
@@ -163,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--response", choices=("weights", "variance"),
                    default="weights")
     p.add_argument("--omega2",
-                   choices=("0", "0.001", "0.01", "0.1", "vary"),
+                   choices=(*(f"{v:g}" for v in FIXED_OMEGA2_CHOICES), "vary"),
                    default="vary")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)

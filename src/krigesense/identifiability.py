@@ -150,8 +150,9 @@ def collinearity_index(entries) -> float:
     """gamma = 1 / sqrt(smallest eigenvalue of S^T S), in [1, 1e12], with
     S the (m, p) sensitivity matrix entries scaled to unit columns."""
     arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError("entries must be 2-D with at least one column, "
+                         f"got shape {arr.shape}")
     gammas, reasons = _gammas(arr[None])
     if reasons[0] is not None:
         raise reasons[0]
@@ -233,7 +234,8 @@ def collinearity_scan(grid_nu=(0.01, 2.5), grid_rho=(0.01, 5.0),
     failures: List[str] = []
     cells = []
     for thetas, block in blocks:
-        for nu, rho, (g_corr, g_wts, reason) in zip(*thetas.T, block):
+        for nu, rho, (g_corr, g_wts, reason) in zip(*thetas.T, block,
+                                                    strict=True):
             if reason is not None:
                 failures.append(f"(nu={nu:.6g}, rho={rho:.6g}): {reason!r}")
             cells.append(CollinearityCell(

@@ -32,7 +32,6 @@ from .parallel import _in_chunks, _open_pool
 __all__ = [
     "UndefinedSharesError",
     "ParamBox",
-    "StudyConfig",
     "SobolResult",
     "DEFAULT_RANGES",
     "FIXED_OMEGA2_CHOICES",
@@ -90,41 +89,6 @@ class ParamBox:
     @property
     def size(self) -> int:
         return len(self.ranges)
-
-    @classmethod
-    def defaults(cls, names=("sigma2", "rho", "nu", "omega2")) -> "ParamBox":
-        table = {n: (lo, hi) for n, lo, hi in DEFAULT_RANGES}
-        unknown = [n for n in names if n not in table]
-        if unknown:
-            raise ValueError(f"no tabulated range for {unknown}")
-        return cls(ranges=tuple((n, *table[n]) for n in names))
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """One Sobol study row: grid, response, omega2, budget.
-
-    omega2 None varies the nugget ratio over its DEFAULT_RANGES range;
-    otherwise it is held at that value, one of FIXED_OMEGA2_CHOICES."""
-
-    grid_dimension: int = 1
-    response: str = "weights"
-    omega2: Optional[float] = None
-    sample_budget: int = 1024
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.grid_dimension not in (1, 2):
-            raise ValueError(
-                f"grid_dimension must be 1 or 2, got {self.grid_dimension}")
-        if self.response not in ("weights", "prediction_variance"):
-            raise ValueError(f"unknown response {self.response!r}")
-        if self.omega2 is not None and self.omega2 not in FIXED_OMEGA2_CHOICES:
-            raise ValueError(
-                f"fixed omega2 must be one of {FIXED_OMEGA2_CHOICES}, "
-                f"got {self.omega2}")
-        if self.sample_budget < 256:
-            raise ValueError("sample_budget must be >= 256")
 
 
 @dataclass(frozen=True)
@@ -352,34 +316,42 @@ def sobol_total(f: Callable[[np.ndarray], np.ndarray], box: ParamBox,
     )
 
 
-def run_study(config: StudyConfig) -> SobolResult:
+def run_study(grid_dimension: int = 1, response: str = "weights",
+              omega2: Optional[float] = None, sample_budget: int = 1024,
+              seed: int = 0) -> SobolResult:
     """One study row: wire the response and active inputs, run sobol_total.
 
+    response is "weights" or "prediction_variance". omega2 None varies
+    the nugget ratio over its DEFAULT_RANGES range; otherwise it is held
+    at that value, one of FIXED_OMEGA2_CHOICES, and is not an input.
     Active inputs, in order: sigma2 (variance response only), rho, nu,
-    omega2 (when config.omega2 is None, so varied), and the location
-    factor x (weights response only). A fixed-omega2 row drops omega2
-    from the inputs entirely.
+    omega2 (when varied), and the location factor x (weights response
+    only). study_grid checks grid_dimension, and sobol_total checks
+    sample_budget, its base_count.
     """
-    variance = config.response == "prediction_variance"
+    if response not in ("weights", "prediction_variance"):
+        raise ValueError(f"unknown response {response!r}")
+    if omega2 is not None and omega2 not in FIXED_OMEGA2_CHOICES:
+        raise ValueError(f"fixed omega2 must be one of "
+                         f"{FIXED_OMEGA2_CHOICES}, got {omega2}")
+    variance = response == "prediction_variance"
     active = (["sigma2"] if variance else []) + ["rho", "nu"]
-    if config.omega2 is None:
+    if omega2 is None:
         active.append("omega2")
-    box = ParamBox.defaults(tuple(active))
+    box = ParamBox(ranges=tuple(r for r in DEFAULT_RANGES if r[0] in active))
 
-    train, _ = study_grid(config.grid_dimension)
+    train, _ = study_grid(grid_dimension)
     positions = {name: j for j, name in enumerate(active)}
 
     def f(rows: np.ndarray) -> np.ndarray:
         rho, nu = rows[:, positions["rho"]], rows[:, positions["nu"]]
-        omega2 = (rows[:, positions["omega2"]] if config.omega2 is None
-                  else config.omega2)
+        nugget = rows[:, positions["omega2"]] if omega2 is None else omega2
         if variance:
             return response_variance(rows[:, positions["sigma2"]], rho, nu,
-                                     omega2, config.grid_dimension)
-        params = ReducedParams(rho=rho, nu=nu, omega2=omega2)
+                                     nugget, grid_dimension)
+        params = ReducedParams(rho=rho, nu=nu, omega2=nugget)
         return response_weights(params, rows[:, len(active)].astype(int),
-                                config.grid_dimension)
+                                grid_dimension)
 
-    return sobol_total(f, box, base_count=config.sample_budget,
-                       seed=config.seed,
+    return sobol_total(f, box, base_count=sample_budget, seed=seed,
                        location_count=None if variance else train.count)

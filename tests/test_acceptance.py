@@ -26,8 +26,7 @@ from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
                                matern_correlation, matern_covariance)
 from krigesense.kriging import (kriging_variance, kriging_weights,
                                 log_likelihood, predict_mean)
-from krigesense.sensitivity import (ParamBox, StudyConfig, run_study,
-                                    sobol_total)
+from krigesense.sensitivity import ParamBox, run_study, sobol_total
 from krigesense.specfun import bessel_k
 
 from oracles import (bessel_k_quadrature, gauss_jordan_inverse, ishigami,
@@ -48,9 +47,8 @@ def _rel(got: float, want: float) -> float:
 
 
 def _study(dim, omega2=None, response="weights", budget=2048):
-    return run_study(StudyConfig(grid_dimension=dim, response=response,
-                                 omega2=omega2, sample_budget=budget,
-                                 seed=SEED))
+    return run_study(grid_dimension=dim, response=response, omega2=omega2,
+                     sample_budget=budget, seed=SEED)
 
 
 def test_criterion_01_bessel_against_quadrature():

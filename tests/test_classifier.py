@@ -547,14 +547,14 @@ import threading
 import krigesense.classifier as c, krigesense.cli
 from krigesense.identifiability import collinearity_scan
 from krigesense.kernel import ReducedParams
-from krigesense.sensitivity import StudyConfig, run_study
+from krigesense.sensitivity import run_study
 print(threading.active_count())
 data = c.synth_dataset(300, 2, seed=1)
 c.classify(data, data.features[:200], ReducedParams(1.0, 1.0, 0.01), k=10)
 print(threading.active_count())
 collinearity_scan(resolution=12)
 print(threading.active_count())
-run_study(StudyConfig(sample_budget=256))
+run_study(sample_budget=256)
 print(threading.active_count())
 """
     assert run_python(code).split() == ["1", "1", "1", "1"]
@@ -662,8 +662,7 @@ def test_grid_spec_validation():
 
 @pytest.fixture(scope="module")
 def smoke_rows():
-    return run_benchmark(train_sizes=(20,), iterations=2, seed=0, k=5,
-                         q=2, test_count=24)
+    return run_benchmark(train_sizes=(20,), iterations=2, seed=0, k=5)
 
 
 def test_benchmark_smoke_structure(smoke_rows):
@@ -690,8 +689,7 @@ def test_benchmark_evaluation_ratio(smoke_rows):
 
 
 def test_benchmark_accuracy_deterministic(smoke_rows):
-    again = run_benchmark(train_sizes=(20,), iterations=2, seed=0, k=5,
-                          q=2, test_count=24)
+    again = run_benchmark(train_sizes=(20,), iterations=2, seed=0, k=5)
     key = [(r.subset, r.train_size, r.iteration, r.accuracy, r.evaluations)
            for r in smoke_rows]
     assert key == [(r.subset, r.train_size, r.iteration, r.accuracy,
@@ -700,7 +698,7 @@ def test_benchmark_accuracy_deterministic(smoke_rows):
 
 def test_benchmark_subset_filter_and_validation():
     rows = run_benchmark(train_sizes=(16,), iterations=1, seed=0, k=3,
-                         q=2, test_count=10, subsets=("nu_only",))
+                         subsets=("nu_only",))
     assert [r.subset for r in rows] == ["nu_only"]
     with pytest.raises(ValueError):
         run_benchmark(train_sizes=(), iterations=1)
@@ -708,7 +706,5 @@ def test_benchmark_subset_filter_and_validation():
         run_benchmark(train_sizes=(1,), iterations=1)
     with pytest.raises(ValueError):
         run_benchmark(train_sizes=(16,), iterations=0)
-    with pytest.raises(ValueError):
-        run_benchmark(train_sizes=(16,), iterations=1, test_count=0)
     with pytest.raises(ValueError):
         run_benchmark(train_sizes=(16,), iterations=1, subsets=("bogus",))

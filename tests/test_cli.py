@@ -14,7 +14,7 @@ import krigesense
 from krigesense.cli import main
 from krigesense.identifiability import band_of
 from krigesense.kernel import matern_correlation
-from krigesense.sensitivity import StudyConfig, run_study, study_grid
+from krigesense.sensitivity import FIXED_OMEGA2_CHOICES, run_study, study_grid
 
 from oracles import gauss_jordan_inverse
 
@@ -220,9 +220,8 @@ def test_sobol_varying_study_and_determinism(tmp_path):
     manifest = read_manifest(a)
     assert manifest["seed"] == 7
     assert manifest["flags"]["n"] == 1024
-    config = StudyConfig(grid_dimension=1, response="weights", omega2=None,
-                         sample_budget=1024, seed=7)
-    kept = run_study(config).replicates_kept
+    kept = run_study(grid_dimension=1, response="weights", omega2=None,
+                     sample_budget=1024, seed=7).replicates_kept
     assert 0 < kept <= 200
     assert manifest["replicates_kept"] == kept
 
@@ -233,6 +232,19 @@ def test_sobol_fixed_zero_drops_omega2(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert [r[0] for r in rows] == ["rho", "nu", "x"]
+
+
+@pytest.mark.parametrize("value", FIXED_OMEGA2_CHOICES)
+def test_sobol_omega2_choices_are_the_fixed_values(tmp_path, capsys, value):
+    # the --omega2 choices are FIXED_OMEGA2_CHOICES spelled with :g, so
+    # each runs a fixed row, and a value outside the list is a usage error
+    out = tmp_path / "s.csv"
+    assert main(["sobol", "--omega2", f"{value:g}", "--n", "256",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["rho", "nu", "x"]
+    assert main(["sobol", "--omega2", "0.05", "--out", str(out)]) == 2
+    assert "invalid choice: '0.05'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("omega2, want", [

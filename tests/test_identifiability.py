@@ -96,6 +96,8 @@ def test_sixty_degree_columns():
 def test_collinearity_index_rejects_1d_and_non_finite_entries():
     with pytest.raises(ValueError, match="2-D"):
         collinearity_index(np.ones(3))
+    with pytest.raises(ValueError, match="entries must be 2-D with at least"):
+        collinearity_index(np.ones((3, 0)))
     with pytest.raises(ValueError, match="entries must be finite"):
         collinearity_index(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 

@@ -25,8 +25,7 @@ import pytest
 from krigesense import linalg, parallel, rng
 from krigesense.kernel import ReducedParams, matern_correlation
 from krigesense.kriging import KrigingSystem
-from krigesense.sensitivity import (FIXED_OMEGA2_CHOICES, DEFAULT_RANGES,
-                                    ParamBox, SobolResult, StudyConfig,
+from krigesense.sensitivity import (DEFAULT_RANGES, ParamBox, SobolResult,
                                     UndefinedSharesError, lhs_sample,
                                     response_variance, response_weights,
                                     run_study, sobol_total, study_grid)
@@ -60,7 +59,7 @@ def test_lhs_one_point_per_quartile():
 
 
 def test_lhs_marginals_flat_per_decile():
-    box = ParamBox.defaults()
+    box = ParamBox(ranges=DEFAULT_RANGES)
     pts = lhs_sample(5000, box, seed=1)
     sigma = math.sqrt(5000 * 0.1 * 0.9)
     for j, (_, lo, hi) in enumerate(box.ranges):
@@ -73,7 +72,7 @@ def test_lhs_marginals_flat_per_decile():
 
 
 def test_lhs_deterministic_and_seed_sensitive():
-    box = ParamBox.defaults(("rho", "nu"))
+    box = ParamBox(ranges=DEFAULT_RANGES[1:3])
     a = lhs_sample(64, box, seed=9)
     b = lhs_sample(64, box, seed=9)
     c = lhs_sample(64, box, seed=10)
@@ -82,22 +81,19 @@ def test_lhs_deterministic_and_seed_sensitive():
 
 
 def test_lhs_respects_bounds():
-    box = ParamBox.defaults()
+    box = ParamBox(ranges=DEFAULT_RANGES)
     pts = lhs_sample(256, box, seed=2)
     for j, (_, lo, hi) in enumerate(box.ranges):
         assert np.all(pts[:, j] >= lo) and np.all(pts[:, j] <= hi)
 
 
 def test_lhs_count_validation():
-    box = ParamBox.defaults()
+    box = ParamBox(ranges=DEFAULT_RANGES)
     with pytest.raises(ValueError):
         lhs_sample(3, box, seed=0)
 
 
 def test_param_box_validation():
-    assert ParamBox.defaults().ranges == DEFAULT_RANGES
-    with pytest.raises(ValueError):
-        ParamBox.defaults(("rho", "lengthscale"))
     with pytest.raises(ValueError):
         ParamBox(ranges=(("a", 1.0, 1.0),))
     with pytest.raises(ValueError):
@@ -204,7 +200,7 @@ def test_ishigami_total_indices():
 def test_ignored_input_has_exactly_zero_index():
     # sigma2 never enters the weight response, so the pick-freeze
     # difference rows for it are identically zero
-    box = ParamBox.defaults(("sigma2", "rho", "nu", "omega2"))
+    box = ParamBox(ranges=DEFAULT_RANGES)
 
     def f(rows):
         return response_weights(
@@ -397,8 +393,8 @@ def test_study_prices_each_distinct_correlation_row_once(omega2,
                                                          matern_calls):
     # A, A_B^rho, A_B^nu and the variance sample each bring n new (rho, nu)
     # rows; A_B^x repeats A's, and A_B^omega2 repeats A's (rho, nu)
-    run_study(StudyConfig(response="weights", omega2=omega2,
-                          sample_budget=256, seed=0))
+    run_study(response="weights", omega2=omega2,
+              sample_budget=256, seed=0)
     assert sum(np.size(args[1]) for args in matern_calls) == 4 * 256
 
 
@@ -418,9 +414,9 @@ def test_variance_row_factors_each_distinct_system_once(dim, seed,
         return rung_zero(stack, out=out)
 
     monkeypatch.setattr(linalg, "_cholesky_or_nan", counted)
-    run_study(StudyConfig(grid_dimension=dim,
-                          response="prediction_variance",
-                          sample_budget=256, seed=seed))
+    run_study(grid_dimension=dim,
+              response="prediction_variance",
+              sample_budget=256, seed=seed)
     assert sum(factored) == 5 * 256
 
 
@@ -449,8 +445,8 @@ def test_sobol_table_pass_builds_each_distinct_system_once(monkeypatch):
     monkeypatch.setattr(KrigingSystem, "build", classmethod(counted))
     for op, (dim, response, omega2) in enumerate(_SOBOL_TABLE):
         built.append(np.zeros(2, dtype=int))
-        run_study(StudyConfig(grid_dimension=dim, response=response,
-                              omega2=omega2, sample_budget=256, seed=op))
+        run_study(grid_dimension=dim, response=response,
+                  omega2=omega2, sample_budget=256, seed=op)
         want = (1280, 1024) if omega2 is not None else (1536, 1280)
         assert tuple(built[-1]) == want, (op, built[-1])
     assert tuple(np.sum(built, axis=0)) == (16384, 13312)
@@ -466,17 +462,17 @@ def test_study_does_not_depend_on_worker_count(monkeypatch):
     # the p + 2 response calls of a study run concurrently on the pool; at
     # 1, 2 and 4 workers a weights row and a variance row give the same
     # bits
-    configs = (StudyConfig(response="weights", omega2=0.01,
-                           sample_budget=256, seed=0),
-               StudyConfig(response="prediction_variance",
-                           sample_budget=256, seed=5))
+    configs = (dict(response="weights", omega2=0.01, sample_budget=256,
+                    seed=0),
+               dict(response="prediction_variance", sample_budget=256,
+                    seed=5))
     results = []
     switch = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 4):
             monkeypatch.setattr(parallel, "worker_count", lambda: workers)
-            results.append([_result_bits(run_study(c)) for c in configs])
+            results.append([_result_bits(run_study(**c)) for c in configs])
     finally:
         sys.setswitchinterval(switch)
     assert results[1] == results[0]
@@ -491,9 +487,9 @@ def test_weights_study_traced_peak(traced_peak):
     # without a copy, so one call in flight peaks at 0.94 MB; the peak
     # grows with min(workers, calls, 2): 1.5-1.8 MB with two calls in
     # flight (2.8-3.4 MB when four were)
-    config = StudyConfig(response="weights", omega2=0.01,
-                         sample_budget=256, seed=0)
-    assert traced_peak(lambda: run_study(config)) < 2_100_000
+    assert traced_peak(lambda: run_study(
+        response="weights", omega2=0.01, sample_budget=256, seed=0)
+    ) < 2_100_000
 
 
 @pytest.mark.parametrize("workers", [4, 8])
@@ -502,9 +498,9 @@ def test_weights_study_traced_peak_on_larger_pools(traced_peak, monkeypatch,
     # a study keeps at most two response calls in flight, so a pool sized
     # for a host with more cores stays under the same bound
     monkeypatch.setattr(parallel, "worker_count", lambda: workers)
-    config = StudyConfig(response="weights", omega2=0.01,
-                         sample_budget=256, seed=0)
-    assert traced_peak(lambda: run_study(config)) < 2_100_000
+    assert traced_peak(lambda: run_study(
+        response="weights", omega2=0.01, sample_budget=256, seed=0)
+    ) < 2_100_000
 
 
 def test_sobol_total_calls_f_two_at_a_time_from_pool_threads(monkeypatch):
@@ -539,45 +535,45 @@ def test_sobol_total_calls_f_two_at_a_time_from_pool_threads(monkeypatch):
 # ------------------------------------------------------------ run_study
 
 
-def test_study_config_validation():
-    with pytest.raises(ValueError):
-        StudyConfig(grid_dimension=3)
-    with pytest.raises(ValueError):
-        StudyConfig(response="mean")
-    with pytest.raises(ValueError):
-        StudyConfig(omega2=0.05)
-    with pytest.raises(ValueError):
-        StudyConfig(sample_budget=255)
-    assert StudyConfig(omega2=0.0).omega2 in FIXED_OMEGA2_CHOICES
+def test_run_study_validation():
+    with pytest.raises(ValueError, match="grid_dimension"):
+        run_study(grid_dimension=3, sample_budget=256)
+    with pytest.raises(ValueError, match="unknown response 'mean'"):
+        run_study(response="mean", sample_budget=256)
+    with pytest.raises(ValueError, match="fixed omega2 must be one of"):
+        run_study(omega2=0.05, sample_budget=256)
+    with pytest.raises(ValueError, match="base_count must be >= 256"):
+        run_study(sample_budget=255)
+    assert run_study(omega2=0.0, sample_budget=256).inputs == (
+        "rho", "nu", "x")
 
 
 def test_run_study_active_inputs_and_cost():
-    vary = run_study(StudyConfig(response="weights", omega2=None,
-                                 sample_budget=256, seed=0))
+    vary = run_study(response="weights", omega2=None,
+                     sample_budget=256, seed=0)
     assert vary.inputs == ("rho", "nu", "omega2", "x")
     assert vary.evaluations == 256 * 6
 
-    fixed = run_study(StudyConfig(response="weights", omega2=0.01,
-                                  sample_budget=256, seed=0))
+    fixed = run_study(response="weights", omega2=0.01,
+                      sample_budget=256, seed=0)
     assert fixed.inputs == ("rho", "nu", "x")
     assert fixed.evaluations == 256 * 5
 
-    var_full = run_study(StudyConfig(response="prediction_variance",
-                                     sample_budget=256, seed=0))
+    var_full = run_study(response="prediction_variance",
+                         sample_budget=256, seed=0)
     assert var_full.inputs == ("sigma2", "rho", "nu", "omega2")
 
 
 def test_run_study_deterministic():
-    cfg = StudyConfig(response="weights", omega2=0.001, sample_budget=256,
-                      seed=4)
-    a = run_study(cfg)
-    b = run_study(cfg)
+    cfg = dict(response="weights", omega2=0.001, sample_budget=256, seed=4)
+    a = run_study(**cfg)
+    b = run_study(**cfg)
     assert np.array_equal(a.percent_share, b.percent_share)
 
 
 def test_zero_nugget_row_share_pattern():
-    res = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                omega2=0.0, sample_budget=1024, seed=0))
+    res = run_study(grid_dimension=1, response="weights",
+                    omega2=0.0, sample_budget=1024, seed=0)
     assert res.share_of("rho") < 1.0
     assert res.share_of("nu") > 5.0
     assert res.share_of("nu") > res.share_of("rho")
@@ -585,17 +581,17 @@ def test_zero_nugget_row_share_pattern():
 
 
 def test_varying_nugget_row_all_inputs_active():
-    res = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                omega2=None, sample_budget=1024, seed=0))
+    res = run_study(grid_dimension=1, response="weights",
+                    omega2=None, sample_budget=1024, seed=0)
     for name in ("rho", "nu", "omega2", "x"):
         assert res.share_of(name) > 1.0
 
 
 def test_monotone_nugget_effect_on_rho():
-    lo = run_study(StudyConfig(grid_dimension=1, response="weights",
-                               omega2=0.0, sample_budget=1024, seed=0))
-    hi = run_study(StudyConfig(grid_dimension=1, response="weights",
-                               omega2=0.1, sample_budget=1024, seed=0))
+    lo = run_study(grid_dimension=1, response="weights",
+                   omega2=0.0, sample_budget=1024, seed=0)
+    hi = run_study(grid_dimension=1, response="weights",
+                   omega2=0.1, sample_budget=1024, seed=0)
     assert hi.share_of("rho") > lo.share_of("rho")
 
 
@@ -610,9 +606,9 @@ def test_variance_row_hyperparameter_ordering():
     # study it defines, and the order does not hold for that study. Which
     # is wrong, the order or the study box and variance convention, waits
     # on the paper's study tables; the assertion is kept as stated.
-    res = run_study(StudyConfig(grid_dimension=1,
-                                response="prediction_variance",
-                                sample_budget=1024, seed=0))
+    res = run_study(grid_dimension=1,
+                    response="prediction_variance",
+                    sample_budget=1024, seed=0)
     assert res.share_of("nu") > res.share_of("sigma2")
     assert res.share_of("sigma2") > res.share_of("rho")
     assert res.share_of("rho") > res.share_of("omega2")
@@ -644,10 +640,10 @@ def test_share_stability_under_budget_doubling():
     # per-input shrink check is not usable: some input failed it in 4 of
     # 20 seeds (omega2 ratio up to 1.52).
     names = ("rho", "nu", "omega2", "x")
-    small = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                  omega2=None, sample_budget=1024, seed=0))
-    large = run_study(StudyConfig(grid_dimension=1, response="weights",
-                                  omega2=None, sample_budget=2048, seed=0))
+    small = run_study(grid_dimension=1, response="weights",
+                      omega2=None, sample_budget=1024, seed=0)
+    large = run_study(grid_dimension=1, response="weights",
+                      omega2=None, sample_budget=2048, seed=0)
     for name in names:
         bound = (3.0 / 1.96) * math.hypot(small.halfwidth_of(name),
                                            large.halfwidth_of(name))
@@ -682,9 +678,9 @@ def test_run_study_agrees_with_converged_reference():
     reference = json.loads(CONVERGED_SHARES.read_text())["rows"]
     for key, budget in _REFERENCE_ROWS:
         ref = reference[key]
-        res = run_study(StudyConfig(
-            grid_dimension=ref["grid_dimension"], response=ref["response"],
-            omega2=ref["omega2_value"], sample_budget=budget, seed=0))
+        res = run_study(
+grid_dimension=ref["grid_dimension"], response=ref["response"],
+omega2=ref["omega2_value"], sample_budget=budget, seed=0)
         assert res.inputs == tuple(ref["share"])
         for name in res.inputs:
             band = (3.0 / 1.96) * math.hypot(res.halfwidth_of(name),

@@ -169,6 +169,20 @@ CATALOGUE = (
            "_as_observations(y, w.shape[0])",
            ("tests/test_kriging.py::"
             "test_predict_mean_on_a_stack_matches_each_row_alone",)),
+    Mutant("run-study-accepts-any-fixed-omega2", "sensitivity.py",
+           "if omega2 is not None and omega2 not in FIXED_OMEGA2_CHOICES:",
+           "if omega2 is not None and omega2 < 0.0:",
+           ("tests/test_sensitivity.py::test_run_study_validation",)),
+    Mutant("grid-search-drops-a-candidate", "classifier.py",
+           "return means[0] if np.ndim(omega2) == 0 else means",
+           "return (means[0] if np.ndim(omega2) == 0\n"
+           "                else means[:max(1, len(means) - 1)])",
+           ("tests/test_classifier.py::test_grid_search_default_grid_costs",)),
+    Mutant("collinearity-index-accepts-no-columns", "identifiability.py",
+           "if arr.ndim != 2 or arr.shape[1] == 0:",
+           "if arr.ndim != 2:",
+           ("tests/test_identifiability.py::"
+            "test_collinearity_index_rejects_1d_and_non_finite_entries",)),
 )
 
 

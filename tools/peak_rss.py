@@ -16,7 +16,9 @@ Each stage runs in a child process that imports the package from
   size of a sobol-table op.
 
 The last two show the pooled scan and study paths without a benchmark
-harness's own memory.
+harness's own memory. The ``sobol`` stage passes the row to ``run_study``
+as keyword arguments; an older tree whose ``run_study`` takes one
+config object needs that tree's own copy of this tool.
 
 Run it on two trees, for instance a parent exported with ``git archive``,
 to see which stage sets a peak and by how much a change moves it.
@@ -43,8 +45,8 @@ c.classify(train, data.features[800:], selected, 50)""",
 from krigesense.identifiability import collinearity_scan
 collinearity_scan(resolution=12)""",
     "sobol": """
-from krigesense.sensitivity import StudyConfig, run_study
-run_study(StudyConfig(response="weights", omega2=0.01, sample_budget=256))""",
+from krigesense.sensitivity import run_study
+run_study(response="weights", omega2=0.01, sample_budget=256)""",
 }
 
 _CHILD = """
