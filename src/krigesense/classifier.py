@@ -8,8 +8,9 @@ shared splits to expose the cost/accuracy trade.
 
 The search engine batches all per-point local systems, each keyed in
 KrigingSystem.build's layout (its neighbors, then the query): their point
-pairs are deduplicated into one distance table per training set, with
-kernel's one distance sum, and each (nu, rho) prices that table once.
+pairs are keyed and numbered in place, so the key table becomes its own
+inverse into one distance table per training set, with kernel's one
+distance sum, and each (nu, rho) prices that table once.
 Each block of local systems is then gathered from those values once and
 solved for every omega2 candidate of that (nu, rho), by LU; below a
 roundoff-scale nugget the block is instead factored by linalg's jitter
@@ -71,6 +72,10 @@ _PD_PROBE_BELOW = 1e-6
 # takes rows in blocks of about this many values too
 _VALUES_PER_CHUNK = 16384
 _SYSTEMS_PER_CHUNK = 50
+
+# a plan whose pair keys stay below this (span**2 < _LUT_KEYS) numbers
+# them through a lookup table of span**2 entries in place of a sort
+_LUT_KEYS = 4_000_000
 
 # glibc's malloc_trim, which returns the C heap's free pages to the OS, or
 # None where the C library has none
@@ -180,10 +185,12 @@ def synth_dataset(m: int, q: int, seed: int) -> LabeledSet:
     blocks of whole rows, about _VALUES_PER_CHUNK entries each, so the
     fill holds no second table of its size; each entry carries the bits
     a whole-table fill gives it. The covariance is then factored in
-    place by linalg._factor_in_place, with spd_factor's bits: its 0.01
-    nugget keeps every eigenvalue above the ladder's rungs, so rung 0
-    must succeed, and the draw raises NotPositiveDefiniteError, never
-    jitters, if it does not.
+    place, in blocks, by linalg._factor_blocked, so no work copy of it is
+    made either. That factor is within roundoff of spd_factor's, not its
+    bits, and the labels are those of the copying spd_factor route. The
+    0.01 nugget keeps every eigenvalue above the ladder's rungs, so rung
+    0 must succeed on every diagonal block, and the draw raises
+    NotPositiveDefiniteError, never jitters, if it does not.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -192,10 +199,10 @@ def synth_dataset(m: int, q: int, seed: int) -> LabeledSet:
     feats = rng.stream(seed, 1).random((m, q))
     # Freed tables of earlier calls stay resident, and the small blocks a
     # caller keeps alive split that memory into pieces smaller than the
-    # covariance and the factor's work buffer, which then grow the heap
-    # instead (one more 1200 x 1200 table, 11 MiB, in some runs). With the
-    # free pages returned first, the draw adds to the resident set what it
-    # touches, wherever its tables land.
+    # covariance, which then grows the heap instead (one more 1200 x 1200
+    # table, 11 MiB, in some runs). With the free pages returned first,
+    # the draw adds to the resident set what it touches, wherever its
+    # tables land.
     if _malloc_trim is not None:
         _malloc_trim(0)
     cov = np.empty((m, m))
@@ -209,7 +216,7 @@ def synth_dataset(m: int, q: int, seed: int) -> LabeledSet:
         raise linalg.NotPositiveDefiniteError(
             "generator covariance did not factor at jitter rung 0")
 
-    lower = linalg._factor_in_place(cov[None], no_jitter).lower[0]
+    lower = linalg._factor_blocked(cov, no_jitter)
     latent = lower @ rng.stream(seed, 2).standard_normal(m)
     labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
     return LabeledSet(features=feats, labels=labels)
@@ -238,6 +245,32 @@ def _pair_keys(nb: np.ndarray, query_ids: np.ndarray, span: int,
     return keys
 
 
+def _key_inverse(keys: np.ndarray, span: int,
+                 pool: ThreadPoolExecutor) -> tuple:
+    """The sorted distinct keys of a _pair_keys table and an int32
+    inverse of its shape, with unique[inverse] == keys.
+
+    While span**2 < _LUT_KEYS, every key is marked in a lookup table of
+    span**2 entries, the marked entries are numbered in order, and keys
+    is overwritten with its inverse one _SYSTEMS_PER_CHUNK block at a
+    time: the inverse returned is keys, and no second table of its size
+    is held. Beyond that, kernel._distinct sorts.
+    """
+    if span * span >= _LUT_KEYS:
+        return _distinct(keys)
+    lut = np.zeros(span * span, dtype=np.int32)
+    lut[keys] = 1
+    unique = np.flatnonzero(lut)
+    lut[unique] = np.arange(unique.size, dtype=np.int32)
+
+    def invert(start: int, stop: int) -> None:
+        block = keys[start:stop]
+        block[...] = lut[block]
+
+    _in_chunks(pool, invert, len(keys), _SYSTEMS_PER_CHUNK)
+    return unique, keys
+
+
 class _LocalPlan:
     """Precomputed neighbor structure for a (train, query, k) triple.
 
@@ -247,12 +280,13 @@ class _LocalPlan:
     buffer for the correlations of that table. Points are the training
     rows plus m + i for held-out query i; a leave-one-out query is its own
     training row. Each system's pairs are keyed min-index first in
-    KrigingSystem.build's (k + 1, k) layout by _pair_keys and deduplicated
-    by kernel._distinct, so every distinct pair, neighbor or cross, is
-    priced once per (nu, rho); pair_inv and cross_inv are the views
-    [:, :k] and [:, k] of that one inverse. Keys, not distance values, are
-    deduplicated: that needs only the distinct pairs' distances, from
-    kernel._distances, never all of them and a sort.
+    KrigingSystem.build's (k + 1, k) layout by _pair_keys, and
+    _key_inverse turns that key table into its own inverse, so every
+    distinct pair, neighbor or cross, is priced once per (nu, rho);
+    pair_inv and cross_inv are the views [:, :k] and [:, k] of that one
+    inverse. Keys, not distance values, are deduplicated: that needs only
+    the distinct pairs' distances, from kernel._distances, never all of
+    them and a sort.
 
     Everything that does not depend on (nu, rho, omega2) happens here
     once. correlation(rho, nu) is one Matern fill over the distance
@@ -279,8 +313,8 @@ class _LocalPlan:
             query_ids = m + np.arange(nq)
         span = points.shape[0]
 
-        unique_keys, inverse = _distinct(
-            _pair_keys(nb, query_ids, span, pool))
+        unique_keys, inverse = _key_inverse(
+            _pair_keys(nb, query_ids, span, pool), span, pool)
         self.pair_dist = _distances(points[unique_keys // span],
                                     points[unique_keys % span])
         self.pair_inv, self.cross_inv = inverse[:, :k], inverse[:, k]

@@ -34,7 +34,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _HALF_INTEGER_TOL = 1e-12
 _TINY_ARG = 1e-10
-_LUT_KEYS = 4_000_000
 
 
 def _check_params(**fields) -> tuple:
@@ -232,19 +231,10 @@ def matern_covariance(d, params: MaternParams):
 
 def _distinct(values: np.ndarray) -> tuple:
     """The sorted distinct entries of values and an int32 inverse of the
-    same shape, with values == unique[inverse]. Non-negative integer keys
-    below _LUT_KEYS go through a lookup table instead of a sort."""
+    same shape, with values == unique[inverse], by one sort: distances
+    here, and the classifier's pair keys beyond its lookup table."""
     values = np.asarray(values)
-    flat = values.ravel()
-    if (values.dtype.kind in "iu" and flat.size
-            and flat.min() >= 0 and flat.max() < _LUT_KEYS):
-        lut = np.zeros(int(flat.max()) + 1, dtype=np.int32)
-        lut[flat] = 1
-        unique = np.flatnonzero(lut)
-        lut[unique] = np.arange(unique.size, dtype=np.int32)
-        inverse = lut[flat]
-    else:
-        unique, inverse = np.unique(flat, return_inverse=True)
+    unique, inverse = np.unique(values.ravel(), return_inverse=True)
     return unique, inverse.astype(np.int32, copy=False).reshape(values.shape)
 
 

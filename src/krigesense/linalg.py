@@ -7,8 +7,9 @@ diagonal. spd_factor takes one matrix or a stack, checks its input once,
 where it enters, and factors a copy in place by one routine, which the
 kriging systems also use. One factor or a factored stack is solved by
 the same forward and back substitution, elementwise across the stack.
-Eigenvalues of one symmetric matrix or a stack come from LAPACK's
-symmetric eigensolver.
+One large matrix can instead be factored in place in square blocks,
+which holds no work copy of it. Eigenvalues of one symmetric matrix or a
+stack come from LAPACK's symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ class NotPositiveDefiniteError(Exception):
 
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+
+# rows per diagonal block of _factor_blocked; its largest temporary is
+# (m, _FACTOR_BLOCK)
+_FACTOR_BLOCK = 64
 
 __all__ = [
     "SpdFactor",
@@ -133,6 +138,34 @@ def _factor_in_place(stack: np.ndarray, rebuild) -> SpdFactor:
                 f"matrix not positive definite after jitter ladder "
                 f"{JITTER_LADDER} x mean diagonal {float(mean_diag[0])!r}")
     return SpdFactor(lower=lower, jitter_used=jitter)
+
+
+def _factor_blocked(a: np.ndarray, rebuild) -> np.ndarray:
+    """Lower Cholesky factor of one symmetric (m, m) matrix, written over
+    a and returned, by the right-looking blocked algorithm (Golub & Van
+    Loan, Matrix Computations, 4th ed., 4.2) in _FACTOR_BLOCK-row blocks.
+
+    Each diagonal block goes through _factor_in_place at rung 0; rebuild
+    is called, as there, if one fails, and must raise, since a jittered
+    block is no block of a factor of a. The panel below the block is then
+    solved against the block's factor, by one product with the factor's
+    inverse, and the trailing lower triangle is updated one block column
+    at a time, so no temporary is larger than (m, _FACTOR_BLOCK). Only
+    the lower triangle is read; the upper one is zeroed.
+    """
+    m = a.shape[0]
+    for start in range(0, m, _FACTOR_BLOCK):
+        stop = min(start + _FACTOR_BLOCK, m)
+        _factor_in_place(a[None, start:stop, start:stop], rebuild)
+        a[start:stop, stop:] = 0.0
+        # L21 = A21 L11^-T, then A22 -= L21 L21^T by block columns
+        panel = a[stop:, start:stop]
+        panel[...] = panel @ np.linalg.inv(a[start:stop, start:stop]).T
+        for col in range(stop, m, _FACTOR_BLOCK):
+            rows = panel[col - stop:]
+            a[col:, col:col + _FACTOR_BLOCK] -= (
+                rows @ rows[:_FACTOR_BLOCK].T)
+    return a
 
 
 def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:

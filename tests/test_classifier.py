@@ -17,7 +17,7 @@ from krigesense.classifier import (GENERATOR_PARAMS, GridSpec, LabeledSet,
                                    TrialResult, classify, grid_search,
                                    loo_accuracy, run_benchmark, synth_dataset)
 from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
-                               _distances, _distinct, matern_correlation,
+                               _distances, matern_correlation,
                                matern_covariance)
 from krigesense.kriging import kriging_weights
 
@@ -75,35 +75,66 @@ def test_covariance_row_blocks_equal_whole_table_rows(q, block, general,
 
 def test_synth_dataset_traced_peak(traced_peak):
     # the 1200 x 1200 covariance is filled a block of rows at a time into
-    # one table and factored in place: 12.4 MB traced peak, where a copying
-    # spd_factor peaked at 23.1 MB (tracemalloc, numpy 2.4.6)
+    # one table and factored in place in 64-row blocks, with no temporary
+    # above 1200 x 64: 12.4 MB traced peak and no untraced work copy, where
+    # a copying spd_factor peaked at 23.1 MB and a whole-table in-place
+    # factor held an untraced 11.5 MB gufunc work copy besides
+    # (tracemalloc, numpy 2.4.6)
     assert traced_peak(lambda: synth_dataset(1200, 2, seed=3)) < 14_000_000
 
 
-@pytest.mark.parametrize("m, q", [(40, 2), (300, 3), (1200, 2)])
-def test_synth_dataset_matches_copying_spd_factor(m, q, monkeypatch):
-    # the in-place factor carries spd_factor's bits for the same covariance,
-    # so the latent draw and its labels are the copying path's
-    seed = m + q
+def copying_route(m: int, q: int, seed: int):
+    """Features, factor and labels of synth_dataset's draw by a copying
+    spd_factor of the whole covariance."""
     feats = rng.stream(seed, 1).random((m, q))
     factor = linalg.spd_factor(
         matern_covariance(_distances(feats[:, None], feats), GENERATOR_PARAMS))
     assert factor.jitter_used == 0.0
     latent = factor.lower @ rng.stream(seed, 2).standard_normal(m)
-    factors = []
-    cholesky = linalg._cholesky_or_nan
+    labels = np.where(latent - np.median(latent) > 0.0, 1, -1)
+    return feats, factor.lower, labels
 
-    def recorded(stack, out=None):
-        factors.append(cholesky(stack, out=out).copy())
+
+@pytest.mark.parametrize("m, q", [(40, 2), (300, 3), (1200, 2)])
+def test_synth_dataset_matches_copying_spd_factor(m, q, monkeypatch):
+    # the draw factors its covariance in place in blocks, one rung-0
+    # Cholesky per diagonal block, to within roundoff of spd_factor's
+    # factor, and its features and labels are the copying route's
+    seed = m + q
+    feats, lower, labels = copying_route(m, q, seed)
+    rung_zero, factors = [], []
+    cholesky, blocked = linalg._cholesky_or_nan, linalg._factor_blocked
+
+    def counted(stack, out=None):
+        rung_zero.append((stack.shape, out is stack))
+        return cholesky(stack, out=out)
+
+    def recorded(a, rebuild):
+        factors.append(blocked(a, rebuild).copy())
         return factors[-1]
 
-    monkeypatch.setattr(linalg, "_cholesky_or_nan", recorded)
+    monkeypatch.setattr(linalg, "_cholesky_or_nan", counted)
+    monkeypatch.setattr(linalg, "_factor_blocked", recorded)
     data = synth_dataset(m, q, seed)
+    block = linalg._FACTOR_BLOCK
+    sizes = [min(block, m - start) for start in range(0, m, block)]
+    assert rung_zero == [((1, b, b), True) for b in sizes]
     assert len(factors) == 1
-    assert factors[0][0].tobytes() == factor.lower.tobytes()
+    assert np.max(np.abs(factors[0] - lower)) <= 1e-12
     assert np.array_equal(data.features, feats)
-    assert np.array_equal(data.labels,
-                          np.where(latent - np.median(latent) > 0.0, 1, -1))
+    assert np.array_equal(data.labels, labels)
+
+
+# the 1200-point pools of perfbench's first three seed-0 classify-nu-rho
+# ops (seed = op) and of criterion 9's first iteration (800 training plus
+# 400 test points)
+@pytest.mark.parametrize("seed", [0, 1, 2, int(
+    rng.stream(0, 10, 0).integers(2 ** 63))])
+def test_benchmark_draws_keep_the_copying_routes_labels(seed):
+    feats, _, labels = copying_route(1200, 2, seed)
+    data = synth_dataset(1200, 2, seed)
+    assert np.array_equal(data.features, feats)
+    assert np.array_equal(data.labels, labels)
 
 
 def test_synth_dataset_raises_when_rung_zero_fails(monkeypatch):
@@ -352,15 +383,46 @@ def test_pair_keys_switch_to_int64_once_span_squared_passes_int32():
         cols = nb.astype(np.int64)[:, None, :]
         want = np.minimum(rows, cols) * span + np.maximum(rows, cols)
         assert np.array_equal(keys, want)
-        unique, inverse = _distinct(keys)
-        assert np.array_equal(unique[inverse], keys)
+        check_key_inverse(keys, span)
+
+
+def check_key_inverse(keys: np.ndarray, span: int) -> None:
+    """_key_inverse of a copy of keys gives np.unique's distinct keys and
+    inverse, as int32, and below the lookup table's limit it is that
+    copy, overwritten."""
+    want_unique, want_inverse = np.unique(keys, return_inverse=True)
+    table = keys.copy()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        unique, inverse = classifier._key_inverse(table, span, pool)
+    assert (inverse is table) == (span * span < classifier._LUT_KEYS)
+    assert inverse.dtype == np.int32 and inverse.shape == keys.shape
+    assert np.array_equal(unique[inverse], keys)
+    assert np.array_equal(unique, want_unique)
+    assert np.array_equal(inverse, want_inverse.reshape(keys.shape))
+
+
+@given(span=st.integers(1, 40) | st.sampled_from([1999, 2000, 2001]),
+       data=st.data())
+def test_key_inverse_matches_np_unique(span, data):
+    # small spans number their keys through the lookup table in place;
+    # from span**2 = _LUT_KEYS on the sort takes over, and at 2001 the
+    # keys fall on both sides of _LUT_KEYS
+    top = span * span
+    near = min(top, classifier._LUT_KEYS)
+    elements = (st.sampled_from([0, top - 1]) | st.integers(0, top - 1)
+                | st.integers(max(0, near - 40), min(top, near + 40) - 1))
+    nq = data.draw(st.integers(1, 2 * CHUNK + 7))
+    k = data.draw(st.integers(1, 3))
+    check_key_inverse(
+        data.draw(arrays(np.int32, (nq, k + 1, k), elements=elements)), span)
 
 
 def test_local_plan_init_traced_peak(traced_peak):
-    # int32 pair keys (8.2 MB at m=800, k=50), their int32 inverse and
-    # neighbor rows sorted in blocks, with no (800, 50, 50) system buffer:
-    # 19.8 MB traced peak, where int64 keys, a whole-table neighbor sort
-    # and that buffer peaked at 27.9 MB (tracemalloc, numpy 2.4.6)
+    # int32 pair keys (8.2 MB at m=800, k=50) overwritten with their own
+    # inverse and neighbor rows sorted in blocks, with no (800, 50, 50)
+    # system buffer: 12.7 MB traced peak, where a separate inverse beside
+    # the keys peaked at 19.8 MB, and int64 keys, a whole-table neighbor
+    # sort and that buffer at 27.9 MB (tracemalloc, numpy 2.4.6)
     train = synth_dataset(800, 2, seed=1)
     with ThreadPoolExecutor(max_workers=2) as pool:
         peak = traced_peak(lambda: classifier._LocalPlan(
@@ -370,8 +432,9 @@ def test_local_plan_init_traced_peak(traced_peak):
 
 def test_grid_search_traced_peak(traced_peak):
     # each worker gathers and solves one 50-system block at a time, so a
-    # search holds no (800, 50, 50) stack: 19.8 MB traced peak, where a
-    # whole gathered stack peaked at 28.2 MB (tracemalloc, numpy 2.4.6)
+    # search holds no (800, 50, 50) stack: 13.5 MB traced peak (19.8 MB
+    # with a separate pair-key inverse), where a whole gathered stack
+    # peaked at 28.2 MB (tracemalloc, numpy 2.4.6)
     train = synth_dataset(800, 2, seed=1)
     grid = GridSpec(subset="nu_rho", nu_values=(0.5, 1.7),
                     rho_values=(0.3, 2.0), omega2_values=(0.01,))

@@ -10,10 +10,10 @@ from scipy.spatial.distance import cdist
 from scipy.special import kve
 
 from krigesense import linalg
-from krigesense.kernel import (_CLOSED_FORMS, _LUT_KEYS, LocationSet,
-                               MaternParams, ReducedParams, _distances,
-                               _distinct, kernel_matrix, make_grid,
-                               matern_correlation, matern_covariance)
+from krigesense.kernel import (_CLOSED_FORMS, LocationSet, MaternParams,
+                               ReducedParams, _distances, _distinct,
+                               kernel_matrix, make_grid, matern_correlation,
+                               matern_covariance)
 from oracles import bessel_k_quadrature, charpoly_eigenvalues
 
 
@@ -310,18 +310,10 @@ def test_kernel_matrix_dimension_mismatch():
 _SHAPES = array_shapes(min_dims=1, max_dims=2, max_side=40)
 
 
-@given(st.one_of(
-    # distances with forced repeats
-    arrays(np.float64, _SHAPES, elements=st.sampled_from(
-        [0.0, 0.25, 0.5, 2.0 ** 0.5]) | st.floats(0.0, 10.0)),
-    # small keys (lookup table), keys on both sides of its limit, and
-    # negative keys (sort)
-    arrays(np.int64, _SHAPES, elements=st.integers(0, 60)),
-    arrays(np.int64, _SHAPES, elements=st.sampled_from(
-        [0, _LUT_KEYS - 1, _LUT_KEYS, 3 * _LUT_KEYS])
-        | st.integers(_LUT_KEYS - 40, _LUT_KEYS + 40)),
-    arrays(np.int64, _SHAPES, elements=st.integers(-5, 5)),
-))
+# distances with forced repeats; the classifier's integer pair keys are
+# checked by test_classifier.py::test_key_inverse_matches_np_unique
+@given(arrays(np.float64, _SHAPES, elements=st.sampled_from(
+    [0.0, 0.25, 0.5, 2.0 ** 0.5]) | st.floats(0.0, 10.0)))
 def test_distinct_round_trips_exactly(values):
     unique, inverse = _distinct(values)
     assert inverse.dtype == np.int32 and inverse.shape == values.shape

@@ -72,14 +72,26 @@ CATALOGUE = (
     return np.sqrt(np.maximum(out, 0.0))
 """,
            ("tests/test_kernel.py::test_distances_equal_cdist_bitwise",)),
-    Mutant("distinct-lut-off-by-one", "kernel.py",
+    Mutant("distinct-lut-off-by-one", "classifier.py",
            "lut[unique] = np.arange(unique.size, dtype=np.int32)",
            "lut[unique] = np.arange(1, unique.size + 1, dtype=np.int32)",
-           ("tests/test_kernel.py::test_distinct_round_trips_exactly",)),
+           ("tests/test_classifier.py::test_key_inverse_matches_np_unique",)),
     Mutant("distinct-int64-inverse", "kernel.py",
            "inverse.astype(np.int32, copy=False)",
            "inverse.astype(np.int64, copy=False)",
-           ("tests/test_kernel.py::test_distinct_round_trips_exactly",)),
+           ("tests/test_classifier.py::test_key_inverse_matches_np_unique",)),
+    Mutant("key-map-skips-last-block", "classifier.py",
+           "_in_chunks(pool, invert, len(keys), _SYSTEMS_PER_CHUNK)",
+           "_in_chunks(pool, invert, (len(keys) - 1) // _SYSTEMS_PER_CHUNK\n"
+           "               * _SYSTEMS_PER_CHUNK, _SYSTEMS_PER_CHUNK)",
+           ("tests/test_classifier.py::test_key_inverse_matches_np_unique",
+            "tests/test_classifier.py::"
+            "test_local_plan_latent_means_match_plain_solve")),
+    Mutant("draw-skips-last-trailing-update", "linalg.py",
+           "for col in range(stop, m, _FACTOR_BLOCK):",
+           "for col in range(stop, m - _FACTOR_BLOCK, _FACTOR_BLOCK):",
+           ("tests/test_classifier.py::"
+            "test_synth_dataset_matches_copying_spd_factor",)),
     Mutant("bootstrap-fixed-1024-columns", "sensitivity.py",
            "draws = g_boot.integers(0, n, (count, 2, n))",
            "draws = g_boot.integers(0, n, (count, 2, 1024))",
