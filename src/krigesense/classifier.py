@@ -11,10 +11,10 @@ KrigingSystem.build's layout (its neighbors, then the query): their point
 pairs are keyed and numbered in place, so the key table becomes its own
 inverse into one distance table per training set, with kernel's one
 distance sum, and each (nu, rho) prices that table once.
-Each block of local systems is then gathered from those values once and
-solved for every omega2 candidate of that (nu, rho), by LU; below a
-roundoff-scale nugget the block is instead factored by linalg's jitter
-ladder, each system at the rung it gets alone, and solved from those
+Each block of local systems is then gathered from those values once,
+bordered by its cross rows and labels, and factored by linalg's jitter
+ladder for every omega2 candidate of that (nu, rho), each system at the
+rung its k x k system gets alone; the latent means are read off the
 factors. No stack of all the systems is held, only one block per worker.
 The fill and the gather-and-solve run in blocks of a fixed size that
 never depends on the worker count, so every output is bitwise the same
@@ -63,9 +63,9 @@ _SUBSETS = ("nu_only", "nu_rho", "all")
 _FEATURE_DIM = 2
 _TEST_COUNT = 400
 
-# below this nugget ratio the stacked systems are factored by linalg's
-# jitter ladder, and solved from those factors, in place of the LU solve
-_PD_PROBE_BELOW = 1e-6
+# the border diagonal (alpha, beta) of latent_means' bordered systems
+_BORDER_ALPHA = 2.0
+_BORDER_BETA = 1e200
 
 # work per pool task: the fill prices this many distances, the gather and
 # solve handles this many local systems; synth_dataset's covariance fill
@@ -334,40 +334,45 @@ class _LocalPlan:
         _in_chunks(self._pool, fill, values.size, _VALUES_PER_CHUNK)
 
     def latent_means(self, omega2) -> np.ndarray:
-        """w . y of every local system of the last correlation, for one
-        omega2 ((nq,)) or a sequence of them ((len(omega2), nq)).
+        """c^T A^-1 y of every local system of the last correlation, for
+        one omega2 ((nq,)) or a sequence of them ((len(omega2), nq)).
 
-        Each pool task gathers one block of systems and cross rows from
-        the filled values, then per omega2 rewrites the diagonal, which
-        the correlation gives as exactly 1, to 1 + omega2 and solves. The
-        systems are positive definite by construction once omega2 clears
-        roundoff scale and go through LU solves; below _PD_PROBE_BELOW,
-        linalg._factor_in_place factors a copy of the block, each system
-        with the jitter linalg's ladder gives it alone, and
-        linalg.spd_solve solves from those factors. The copy is needed
-        because the gathered block is reused for the next omega2; the
-        block is not checked, being symmetric and finite by construction.
+        Each pool task gathers one block of systems A, cross rows c and
+        labels y into bordered systems M = [[A, c, y], [c^T, alpha, 0],
+        [y^T, 0, beta]], then per omega2 sets A's diagonal, which the
+        correlation gives as exactly 1, to 1 + omega2 and factors a copy
+        of the block by linalg._factor_in_place. Row k of M's factor L is
+        (L_A^-1 c)^T, so the latent mean is -L[k + 1, k] * L[k, k] (L21 =
+        B^T L11^-T; Golub & Van Loan, Matrix Computations, 4th ed., 4.2).
+        M factors whenever A does, since alpha = 2 exceeds c^T A^-1 c <= 1
+        of a correlation system, and beta feeds no entry that is read.
+        The ladder's scale is A's mean diagonal alone (scale_over=k), so
+        each system gets the jitter its k x k system gets alone. The copy
+        keeps the block for the next omega2; the block is not checked,
+        being symmetric and finite by construction.
         """
         omegas = np.atleast_1d(np.asarray(omega2, dtype=float))
         values, labels = self._values, self.neighbor_labels
         means = np.empty((omegas.size, len(labels)))
-        diag = np.arange(labels.shape[1])
+        k = labels.shape[1]
+        diag = np.arange(k)
 
         # the inverses index values in range by construction; mode="clip"
         # skips the bounds check
         def solve(start: int, stop: int) -> None:
-            systems = np.take(values, self.pair_inv[start:stop], mode="clip")
-            cross = np.take(values, self.cross_inv[start:stop], mode="clip")
-            block = labels[start:stop]
+            bordered = np.empty((stop - start, k + 2, k + 2))
+            np.take(values, self.pair_inv[start:stop], mode="clip",
+                    out=bordered[:, :k, :k])
+            np.take(values, self.cross_inv[start:stop], mode="clip",
+                    out=bordered[:, k, :k])
+            bordered[:, k + 1, :k] = labels[start:stop]
+            bordered[:, :k, k:] = np.swapaxes(bordered[:, k:, :k], 1, 2)
+            bordered[:, k:, k:] = ((_BORDER_ALPHA, 0.0), (0.0, _BORDER_BETA))
             for row, w in zip(means, omegas):
-                systems[:, diag, diag] = 1.0 + w
-                if w < _PD_PROBE_BELOW:
-                    solved = linalg.spd_solve(linalg._factor_in_place(
-                        systems.copy(), systems.__getitem__), block)
-                else:
-                    solved = np.linalg.solve(systems, block[:, :, None])
-                row[start:stop] = np.einsum("nk,nk->n", cross,
-                                            solved.reshape(block.shape))
+                bordered[:, diag, diag] = 1.0 + w
+                lower = linalg._factor_in_place(
+                    bordered.copy(), bordered.__getitem__, scale_over=k).lower
+                row[start:stop] = -lower[:, k + 1, k] * lower[:, k, k]
 
         _in_chunks(self._pool, solve, len(labels), _SYSTEMS_PER_CHUNK)
         return means[0] if np.ndim(omega2) == 0 else means

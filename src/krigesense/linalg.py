@@ -108,20 +108,24 @@ def _failed(lower: np.ndarray) -> np.ndarray:
     return np.isnan(np.diagonal(lower, axis1=-2, axis2=-1)).any(axis=-1)
 
 
-def _factor_in_place(stack: np.ndarray, rebuild) -> SpdFactor:
+def _factor_in_place(stack: np.ndarray, rebuild,
+                     scale_over: int | None = None) -> SpdFactor:
     """Factor an assembled (N, n, n) stack of symmetric, finite systems in
     place at rung 0. rebuild(indices) gives those systems again as
     assembled; only the failed ones are rebuilt and go up the rungs
     above 0, each with its own jitter (the rung's scale times its own
     mean diagonal), those that still fail going on to the next rung. The
-    first system the whole ladder cannot fix raises
-    NotPositiveDefiniteError."""
+    mean diagonal is taken over the first scale_over diagonal entries
+    (all n by default), so a system bordered by extra rows and columns
+    can be jittered as its leading block alone would be. The first
+    system the whole ladder cannot fix raises NotPositiveDefiniteError."""
     lower = _cholesky_or_nan(stack, out=stack)
     jitter = np.zeros(len(lower))
     failing = np.flatnonzero(_failed(lower))
     if failing.size:
         pending = rebuild(failing)
-        mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), axis=-1)
+        diagonal = np.diagonal(pending, axis1=-2, axis2=-1)[:, :scale_over]
+        mean_diag = np.mean(diagonal, axis=-1)
         eye = np.eye(pending.shape[-1])
         for scale in JITTER_LADDER[1:]:
             rung = scale * mean_diag

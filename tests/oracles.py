@@ -8,11 +8,13 @@ rather than tautology:
   (the library path goes through AMOS / a log-space series).
 * Dense kriging weights via an explicit Gauss-Jordan inverse
   (the library never forms an inverse).
+* Kriging latent means c^T A^-1 y via mpmath's LU solve at 30 digits
+  (the library factors the system bordered by c and y in double).
 * Eigenvalues via characteristic-polynomial companion roots
-  (the library uses cyclic Jacobi rotations).
+  (the library calls LAPACK's symmetric eigensolver, eigvalsh).
 * Collinearity via step-refined central differences plus the
   companion-root eigenvalues (the library uses fixed-step differences
-  plus Jacobi).
+  plus eigvalsh).
 * Total-effect shares of the kriging study rows via scrambled Sobol'
   points, scipy's Bessel K, batched LU solves and an exact average over
   the location factor, with replicate scrambles for the interval (the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import stats
 from scipy.integrate import quad
@@ -125,6 +128,17 @@ def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         mk = mk + ck * np.eye(n)
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+def kriging_latent_mean_mp(system, cross, labels, digits: int = 30) -> float:
+    """c^T A^-1 y for one kriging system A (n, n), its cross row c and
+    labels y, all taken exactly from their float64 values, by mpmath's LU
+    solve at `digits` significant digits; rounded once to float."""
+    with mp.workdps(digits):
+        x = mp.lu_solve(mp.matrix(np.asarray(system, dtype=float).tolist()),
+                        mp.matrix(np.asarray(labels, dtype=float).tolist()))
+        return float(mp.fsum(mp.mpf(c) * xi for c, xi in
+                             zip(np.asarray(cross, dtype=float).tolist(), x)))
 
 
 # ---------------------------------------------------------------------------

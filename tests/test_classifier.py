@@ -20,6 +20,7 @@ from krigesense.kernel import (LocationSet, MaternParams, ReducedParams,
                                _distances, matern_correlation,
                                matern_covariance)
 from krigesense.kriging import kriging_weights
+from oracles import kriging_latent_mean_mp
 
 TRUE_PARAMS = GENERATOR_PARAMS.reduced()
 
@@ -340,6 +341,31 @@ def test_local_plan_latent_means_match_plain_solve(loo, count, omega2,
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_latent_means_match_30_digit_oracle_on_ill_conditioned_systems():
+    # seed 5, m = 800, k = 50, nu = 2.5, omega2 = 0.001: per rho, the three
+    # systems whose latent mean cancels most (sum |c_i x_i| / |c^T x| from
+    # 5.9e6 to 9.0e7) against a 30-digit solve of the same float64 inputs.
+    # Worst relative error measured (numpy 2.4.6, OpenBLAS 0.3.31): 2.1e-9
+    # for the bordered factor; 1.1e-9 for the LU solve plus dot it
+    # replaced, which the bordered factor beat on the other five
+    data = synth_dataset(800, 2, seed=5)
+    k, nu, omega2 = 50, 2.5, 0.001
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plan = classifier._LocalPlan(data, data.features, k,
+                                     exclude_self=True, pool=pool)
+        for rho in (4.4, 5.0):
+            plan.correlation(rho, nu)
+            got = plan.latent_means(omega2)
+            systems = plan._values[plan.pair_inv]
+            systems[:, np.arange(k), np.arange(k)] = 1.0 + omega2
+            cross, labels = plan._values[plan.cross_inv], plan.neighbor_labels
+            terms = cross * np.linalg.solve(systems, labels[..., None])[..., 0]
+            cancel = np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))
+            for i in np.argsort(cancel)[-3:]:
+                want = kriging_latent_mean_mp(systems[i], cross[i], labels[i])
+                assert abs(got[i] - want) <= 4e-9 * abs(want)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("loo", [True, False])
 def test_local_plan_gathers_cdist_correlations_exactly(q, loo, monkeypatch):
@@ -441,13 +467,29 @@ def test_grid_search_traced_peak(traced_peak):
     assert traced_peak(lambda: grid_search(train, grid, 50)) < 22_000_000
 
 
+def bordered_stack(plan, omega2: float) -> np.ndarray:
+    """Every system A + omega2 I of the plan's last correlation, bordered
+    by its cross row c and labels y as [[A, c, y], [c^T, alpha, 0],
+    [y^T, 0, beta]]."""
+    labels = plan.neighbor_labels
+    n, k = labels.shape
+    stack = np.zeros((n, k + 2, k + 2))
+    stack[:, :k, :k] = plan._values[plan.pair_inv]
+    stack[:, np.arange(k), np.arange(k)] = 1.0 + omega2
+    stack[:, k, :k] = stack[:, :k, k] = plan._values[plan.cross_inv]
+    stack[:, k + 1, :k] = stack[:, :k, k + 1] = labels
+    stack[:, k, k] = classifier._BORDER_ALPHA
+    stack[:, k + 1, k + 1] = classifier._BORDER_BETA
+    return stack
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunks", ["default", "small"])
 def test_latent_means_over_omega2_values_match_whole_stack(workers, chunks,
                                                            monkeypatch):
-    # several omega2 values in one call, across the probe threshold, give
-    # the single-value calls' bits and those of one solve of the whole
-    # stack gathered from the filled values
+    # several omega2 values in one call, from zero nugget up, give the
+    # single-value calls' bits and those of one bordered factor of the
+    # whole stack gathered from the filled values
     if chunks == "small":
         small_chunks(monkeypatch)
     data = synth_dataset(130, 2, seed=4)
@@ -462,15 +504,10 @@ def test_latent_means_over_omega2_values_match_whole_stack(workers, chunks,
         alone = [plan.latent_means(w) for w in omegas]
     assert got.shape == (len(omegas), train.count)
     for row, single, omega2 in zip(got, alone, omegas):
-        systems = plan._values[plan.pair_inv]
-        systems[:, np.arange(11), np.arange(11)] = 1.0 + omega2
-        if omega2 < classifier._PD_PROBE_BELOW:
-            solved = linalg.spd_solve(linalg.spd_factor(systems),
-                                      plan.neighbor_labels)
-        else:
-            solved = np.linalg.solve(systems,
-                                     plan.neighbor_labels[..., None])[..., 0]
-        want = np.einsum("nk,nk->n", plan._values[plan.cross_inv], solved)
+        stack = bordered_stack(plan, omega2)
+        lower = linalg._factor_in_place(stack.copy(), stack.__getitem__,
+                                        scale_over=11).lower
+        want = -lower[:, 12, 11] * lower[:, 11, 11]
         assert single.shape == (train.count,)
         assert row.tobytes() == single.tobytes() == want.tobytes()
 
@@ -498,16 +535,15 @@ def test_pd_probe_gives_each_system_its_own_rung(chunks, monkeypatch):
                                      exclude_self=True, pool=pool)
         plan.correlation(rho, nu)
         systems = plan._values[plan.pair_inv]
-        cross = plan._values[plan.cross_inv]
         got = plan.latent_means(0.0)
-    # each system is factored and solved as it is alone
-    alone = [linalg.spd_factor(s) for s in systems]
-    jitter = np.array([f.jitter_used for f in alone])
+    # each bordered system is factored as it is alone, at the rung its
+    # k x k system gets alone
+    jitter = np.array([linalg.spd_factor(s).jitter_used for s in systems])
     assert np.count_nonzero(jitter == 0.0) == 43
     assert np.count_nonzero(jitter == 1e-12) == 6
-    solved = np.array([linalg.spd_solve(f, y)
-                       for f, y in zip(alone, plan.neighbor_labels)])
-    assert np.array_equal(got, np.einsum("nk,nk->n", cross, solved))
+    lower = np.array([np.linalg.cholesky(m + j * np.eye(k + 2))
+                      for m, j in zip(bordered_stack(plan, 0.0), jitter)])
+    assert np.array_equal(got, -lower[:, k + 1, k] * lower[:, k, k])
 
 
 def test_rung_mix_stack_factors_as_each_system_alone():

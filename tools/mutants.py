@@ -134,10 +134,8 @@ CATALOGUE = (
            ("tests/test_classifier.py::"
             "test_local_plan_latent_means_match_plain_solve",)),
     Mutant("global-jitter-scale", "linalg.py",
-           "mean_diag = np.mean(np.diagonal(pending, axis1=-2, axis2=-1), "
-           "axis=-1)",
-           "mean_diag = np.full(len(pending), np.mean(np.diagonal(pending, "
-           "axis1=-2, axis2=-1)))",
+           "mean_diag = np.mean(diagonal, axis=-1)",
+           "mean_diag = np.full(len(pending), np.mean(diagonal))",
            ("tests/test_linalg.py::"
             "test_stack_ladder_gives_each_system_its_own_rung",)),
     Mutant("omega2-taken-as-tau2-in-variance-response", "sensitivity.py",
@@ -151,10 +149,20 @@ CATALOGUE = (
            ("tests/test_linalg.py::"
             "test_stack_factor_leaves_the_callers_stack_as_it_was",)),
     Mutant("probe-factors-the-gathered-block", "classifier.py",
-           "systems.copy(), systems.__getitem__), block)",
-           "systems, systems.__getitem__), block)",
+           "bordered.copy(), bordered.__getitem__",
+           "bordered, bordered.__getitem__",
            ("tests/test_classifier.py::"
             "test_latent_means_over_omega2_values_match_whole_stack",)),
+    Mutant("border-alpha-at-one", "classifier.py",
+           "_BORDER_ALPHA = 2.0",
+           "_BORDER_ALPHA = 1.0",
+           ("tests/test_classifier.py::"
+            "test_pd_probe_gives_each_system_its_own_rung",)),
+    Mutant("ladder-scale-over-whole-diagonal", "linalg.py",
+           "diagonal = np.diagonal(pending, axis1=-2, axis2=-1)[:, :scale_over]",
+           "diagonal = np.diagonal(pending, axis1=-2, axis2=-1)",
+           ("tests/test_classifier.py::"
+            "test_pd_probe_gives_each_system_its_own_rung",)),
     Mutant("variance-row-drops-sigma2", "sensitivity.py",
            'active = (["sigma2"] if variance else []) + ["rho", "nu"]',
            'active = ["rho", "nu"]',
